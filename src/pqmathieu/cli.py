@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import io
 import json
@@ -78,6 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(ps)
     add_common(ps)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import, and reused: parsing
+    # leaves the parser unchanged
+    return build_parser()
 
 
 def _policy(ns: argparse.Namespace) -> QuadPolicy:
@@ -268,7 +276,7 @@ def _prevalidate(target: str, vals: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         if ns.command == "eval":
             return cmd_eval(ns)

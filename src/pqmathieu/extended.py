@@ -3,12 +3,15 @@
 The extension weights the Euler integrals with exp(-p/t - q/(1-t)), p, q >= 0.
 Two independent evaluation paths exist for the extended Gauss function: the
 single Euler-type integral (primary, one quadrature call) and the series whose
-coefficients are extended Beta values (one quadrature per coefficient); the
-series path is the verification oracle.
+coefficients are extended Beta values; the series path is the verification
+oracle.  Coefficient tables B(x0+j, y; p, q), j = 0 .. n-1, come from one
+shared tanh-sinh node set per table (extended_beta_table); the series grow
+theirs in blocks of 32 entries as they advance.
 
 All integrands are evaluated in log space from the exact endpoint distances
 supplied by the quadrature engine, so (t**(x-1)) and ((1-t)**(y-1)) factors
-keep full precision at both endpoints.
+keep full precision at both endpoints; the error floor charges the rounding
+of the final exp.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from dataclasses import dataclass
 
 from .classical import HyperTriple, beta, gauss_2f1
 from .errors import DomainError
-from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc
+from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_log_moments
 from .results import EvalResult
 
 __all__ = [
     "PQParams",
     "envelope_factor",
     "extended_beta",
+    "extended_beta_table",
     "extended_gauss_integral",
     "extended_gauss_series",
     "extended_kummer",
@@ -63,10 +67,10 @@ def envelope_factor(pq: PQParams) -> float:
     return pq.envelope
 
 
-def _beta_integrand(x: float, y: float, pq: PQParams):
+def _beta_log_weight(x: float, y: float, pq: PQParams):
     p, q = pq.p, pq.q
 
-    def g(t: float, dlo: float, dhi: float) -> float:
+    def lg(t: float, dlo: float, dhi: float) -> float:
         lf = 0.0
         if x != 1.0:
             lf += (x - 1.0) * math.log(dlo)
@@ -76,9 +80,9 @@ def _beta_integrand(x: float, y: float, pq: PQParams):
             lf -= p / dlo
         if q != 0.0:
             lf -= q / dhi
-        return math.exp(lf)
+        return lf
 
-    return g
+    return lg
 
 
 def extended_beta(x: float, y: float, pq: PQParams,
@@ -89,13 +93,63 @@ def extended_beta(x: float, y: float, pq: PQParams,
     required).  With damping present the respective argument may be any real;
     such evaluations are flagged outside_classical_domain.
     """
+    _check_beta_args(x, y, pq)
+    res = integrate_finite_xc(_beta_log_weight(x, y, pq), 0.0, 1.0, policy, log_space=True)
+    return EvalResult(res.value, res.abs_err_est, res.n_evals, res.converged,
+                      outside_classical_domain=(x <= 0.0 or y <= 0.0))
+
+
+def _check_beta_args(x: float, y: float, pq: PQParams) -> None:
     if pq.p == 0.0 and x <= 0.0:
         raise DomainError(f"extended_beta requires x > 0 when p = 0, got x={x}")
     if pq.q == 0.0 and y <= 0.0:
         raise DomainError(f"extended_beta requires y > 0 when q = 0, got y={y}")
-    res = integrate_finite_xc(_beta_integrand(x, y, pq), 0.0, 1.0, policy)
-    return EvalResult(res.value, res.abs_err_est, res.n_evals, res.converged,
-                      outside_classical_domain=(x <= 0.0 or y <= 0.0))
+
+
+def extended_beta_table(x0: float, y: float, pq: PQParams, n: int,
+                        policy: QuadPolicy = DEFAULT_POLICY) -> list[EvalResult]:
+    """B(x0 + j, y; p, q) for j = 0 .. n-1 from one shared tanh-sinh node set.
+
+    Each node evaluates the damped weight t^(x0-1) (1-t)^(y-1) e^(-p/t-q/(1-t))
+    once and t^j comes from repeated multiplication.  Every entry carries its
+    own value, error estimate and converged flag; its n_work is the node
+    evaluations of the whole table, which may spend n * policy.max_evals of
+    them (see quadrature.integrate_log_moments).
+    """
+    _check_beta_args(x0, y, pq)
+    entries = integrate_log_moments(_beta_log_weight(x0, y, pq), 0.0, 1.0, n, policy)
+    return [EvalResult(r.value, r.abs_err_est, r.n_evals, r.converged,
+                       outside_classical_domain=(x0 + j <= 0.0 or y <= 0.0))
+            for j, r in enumerate(entries)]
+
+
+# entries per node set when a coefficient table grows with its series
+_BLOCK = 32
+
+
+class _BetaColumn:
+    """B(x0 + j, y; p, q) for j = 0, 1, ..., grown on demand in blocks of
+    _BLOCK entries, each block from one extended_beta_table node set.
+
+    n_work counts the node evaluations of every block computed so far.
+    """
+
+    def __init__(self, x0: float, y: float, pq: PQParams, policy: QuadPolicy):
+        self.x0, self.y, self.pq, self.policy = x0, y, pq, policy
+        self.values: list[float] = []
+        self.errs: list[float] = []
+        self.converged: list[bool] = []
+        self.n_work = 0
+
+    def grow(self, n: int) -> None:
+        while len(self.values) < n:
+            block = extended_beta_table(self.x0 + len(self.values), self.y, self.pq,
+                                        _BLOCK, self.policy)
+            self.n_work += block[0].n_work
+            for res in block:
+                self.values.append(res.value)
+                self.errs.append(res.err_est)
+                self.converged.append(res.converged)
 
 
 def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
@@ -111,7 +165,7 @@ def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
     p, q = pq.p, pq.q
     bx, by = b, c - b
 
-    def g(t: float, dlo: float, dhi: float) -> float:
+    def lg(t: float, dlo: float, dhi: float) -> float:
         lf = -a * math.log1p(-z * t)
         if bx != 1.0:
             lf += (bx - 1.0) * math.log(dlo)
@@ -121,9 +175,9 @@ def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
             lf -= p / dlo
         if q != 0.0:
             lf -= q / dhi
-        return math.exp(lf)
+        return lf
 
-    res = integrate_finite_xc(g, 0.0, 1.0, policy)
+    res = integrate_finite_xc(lg, 0.0, 1.0, policy, log_space=True)
     norm = beta(b, c - b)
     return EvalResult(res.value / norm, res.abs_err_est / norm, res.n_evals, res.converged)
 
@@ -133,9 +187,12 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
                           policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Extended Gauss function by its defining series (the verification path).
 
-    Each coefficient B(b+n, c-b; p, q) costs one quadrature; the truncation
-    tail is majorized by the envelope factor times the classical 2F1 tail at
-    |z|, which bounds the extended coefficients term by term.
+    The coefficients B(b+n, c-b; p, q) come from shared-node tables grown in
+    blocks of 32 entries; the truncation tail is majorized by the envelope
+    factor times the classical 2F1 tail at |z|, which bounds the extended
+    coefficients term by term.  Converged means the tail plus the
+    accumulated coefficient errors meet the tolerance and every coefficient
+    used converged.
     """
     if not abs(z) < 1.0:
         raise DomainError(f"extended_gauss_series requires |z| < 1, got z={z}")
@@ -150,31 +207,30 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
             n_max = 4
         n_max = min(max(n_max, 40), 1000)
 
+    coefs = _BetaColumn(b, c - b, pq, policy)
     total = 0.0
     err_acc = 0.0
-    n_evals = 0
     poch_z = 1.0        # (a)_n z^n / n!
     major = env         # envelope * (a)_n (b)_n / ((c)_n n!) |z|^n
     hits = 0
-    converged = False
+    stopped = False
     tail = math.inf
     n = 0
     while n < n_max:
-        coef = extended_beta(b + n, c - b, pq, policy)
-        n_evals += coef.n_work
-        term = poch_z * coef.value / norm
+        coefs.grow(n + 1)
+        term = poch_z * coefs.values[n] / norm
         total += term
-        err_acc += abs(poch_z) / norm * coef.err_est
+        err_acc += abs(poch_z) / norm * coefs.errs[n]
         # classical majorant of the next terms
         ratio_next = abs(z) * (a + n) * (b + n) / ((c + n) * (n + 1.0))
         rho = max(abs(z), ratio_next)
         major_next = major * ratio_next
         if rho < 1.0:
             tail = major_next / (1.0 - rho)
-            if tail <= policy.rel_tol * max(abs(total), 1e-300):
+            if _series_settled(tail, err_acc, total, policy):
                 hits += 1
                 if hits >= 2:
-                    converged = True
+                    stopped = True
                     n += 1
                     break
             else:
@@ -182,21 +238,30 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
         poch_z *= (a + n) * z / (n + 1.0)
         major = major_next
         n += 1
-    return EvalResult(total, tail + err_acc, n_evals, converged)
+    converged = stopped and tail + err_acc <= policy.rel_tol * max(abs(total), 1e-300) \
+        and all(coefs.converged[:n])
+    return EvalResult(total, tail + err_acc, coefs.n_work, converged)
+
+
+def _series_settled(tail: float, err_acc: float, total: float, policy: QuadPolicy) -> bool:
+    # err_acc only grows, so once it alone exceeds tol the series cannot
+    # converge; it then stops as soon as the tail is small
+    tol = policy.rel_tol * max(abs(total), 1e-300)
+    return tail + err_acc <= tol or tail <= tol < err_acc
 
 
 def kummer_coefficient_table(b: float, c: float, pq: PQParams, n_terms: int,
                              policy: QuadPolicy = DEFAULT_POLICY) -> list[float]:
     """Coefficients B(b+n, c-b; p, q) / B(b, c-b) for n = 0 .. n_terms-1.
 
-    Computing the table once and reusing it across many series evaluations is
-    the supported bulk-evaluation route (the extended Beta itself caches
-    nothing).
+    The whole table comes from one extended_beta_table node set.  Computing
+    it once and reusing it across many series evaluations is the supported
+    bulk-evaluation route (nothing is cached between calls).
     """
     if not (c > b > 0.0):
         raise DomainError(f"kummer_coefficient_table requires c > b > 0, got b={b}, c={c}")
     norm = beta(b, c - b)
-    return [extended_beta(b + n, c - b, pq, policy).value / norm for n in range(n_terms)]
+    return [res.value / norm for res in extended_beta_table(b, c - b, pq, n_terms, policy)]
 
 
 def kummer_series_value(coeffs: list[float], z: float) -> float:
@@ -233,34 +298,36 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
         w, bb, pq_eff = -z, c - b, pq.swapped()
     norm = beta(b, c - b)
 
+    coefs = _BetaColumn(bb, c - bb, pq_eff, policy)
     total = 0.0
     err_acc = 0.0
-    n_evals = 0
     zp = 1.0            # w^n / n!
     hits = 0
-    converged = False
+    stopped = False
     tail = math.inf
     n = 0
     n_cap = int(w + 10.0 * math.sqrt(w + 1.0)) + 60
     while n < n_cap:
-        coef = extended_beta(bb + n, c - bb, pq_eff, policy)
-        n_evals += coef.n_work
-        term = zp * coef.value / norm
+        coefs.grow(n + 1)
+        term = zp * coefs.values[n] / norm
         total += term
-        err_acc += zp / norm * coef.err_est
+        err_acc += zp / norm * coefs.errs[n]
         rho = w / (n + 2.0)  # coefficient ratios are < 1, so this majorizes
         if rho < 1.0:
             tail = abs(term) * rho / (1.0 - rho)
-            if tail <= policy.rel_tol * max(abs(total), 1e-300):
+            if _series_settled(tail, err_acc, total, policy):
                 hits += 1
                 if hits >= 2:
-                    converged = True
+                    stopped = True
                     n += 1
                     break
             else:
                 hits = 0
         zp *= w / (n + 1.0)
         n += 1
+    converged = stopped and tail + err_acc <= policy.rel_tol * max(abs(total), 1e-300) \
+        and all(coefs.converged[:n])
+    n_evals = coefs.n_work
 
     if z < 0.0:
         if w < 100.0:

@@ -34,7 +34,8 @@ from typing import Callable
 from .classical import HyperTriple, gauss_2f1_raw
 from .classical import beta as beta_fn
 from .errors import DivergenceError, DomainError
-from .extended import PQParams, extended_beta, extended_gauss_integral
+from .extended import PQParams, _BetaColumn, extended_gauss_integral
+from .extended import extended_beta  # noqa: F401  (traced by bench/worker.py)
 from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_to_infinity
 from .results import EvalResult
 
@@ -184,24 +185,33 @@ class _KernelCoeffs:
 
     kappa_m = (alpha)_m/m! * B(c-b+m, b; q, p) / B(b, c-b) for the extended
     kernel; the classical kernel uses the exact ratio (c-b)_m/(c)_m, and
-    kind "one" stands for the constant kernel 1 (u-integrals).
+    kind "one" stands for the constant kernel 1 (u-integrals).  The Beta
+    column may be shared with another expansion at the same (b, c, p, q) and
+    policy; work counts the blocks this expansion computed.
     """
 
     def __init__(self, alpha: float, b: float, c: float, pq: PQParams,
-                 policy: QuadPolicy, kind: str):
-        self.alpha, self.b, self.c, self.pq = alpha, b, c, pq
-        self.policy, self.kind = policy, kind
+                 policy: QuadPolicy, kind: str, betas: _BetaColumn | None = None):
+        self.alpha, self.b, self.c = alpha, b, c
+        self.kind = kind
         self.values: list[float] = [1.0] if kind == "one" else []
         self.err_values: list[float] = [0.0] if kind == "one" else []
         self.work = 0
         self._pf = 1.0      # (alpha)_m / m!
         self._ratio = 1.0   # (c-b)_m / (c)_m, classical only
-        self._norm = beta_fn(b, c - b) if kind == "extended" else None
-        self._pq_swap = pq.swapped()
+        if kind == "extended":
+            self._norm = beta_fn(b, c - b)
+            if betas is None:
+                betas = _BetaColumn(c - b, b, pq.swapped(), policy)
+            self._betas = betas
 
     def grow(self, m_count: int) -> None:
-        if self.kind == "one":
+        if self.kind == "one" or len(self.values) >= m_count:
             return
+        if self.kind == "extended":
+            before = self._betas.n_work
+            self._betas.grow(m_count)
+            self.work += self._betas.n_work - before
         while len(self.values) < m_count:
             m = len(self.values)
             if self.kind == "classical":
@@ -209,10 +219,8 @@ class _KernelCoeffs:
                 self.err_values.append(0.0)
                 self._ratio *= (self.c - self.b + m) / (self.c + m)
             else:
-                res = extended_beta(self.c - self.b + m, self.b, self._pq_swap, self.policy)
-                self.work += res.n_work
-                self.values.append(self._pf * res.value / self._norm)
-                self.err_values.append(self._pf * res.err_est / self._norm)
+                self.values.append(self._pf * self._betas.values[m] / self._norm)
+                self.err_values.append(self._pf * self._betas.errs[m] / self._norm)
             self._pf *= (self.alpha + m) / (m + 1.0)
 
 
@@ -423,11 +431,12 @@ def _check_weighted_convergence(alpha: float, beta_: float, seq: SequenceSpec,
 
 def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
                   b: float, c: float, pq: PQParams, alternating: bool,
-                  policy: QuadPolicy, kind: str) -> EvalResult:
+                  policy: QuadPolicy, kind: str,
+                  betas: _BetaColumn | None = None) -> EvalResult:
     _check_weighted_convergence(alpha, beta_, seq, alternating)
     r2 = r * r
     inner = _inner_policy(policy)
-    coeffs = _KernelCoeffs(alpha, b, c, pq, inner, kind)
+    coeffs = _KernelCoeffs(alpha, b, c, pq, inner, kind, betas)
     n_work = 0
     err = 0.0
 
@@ -535,7 +544,8 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
 
 
 def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternating: bool,
-                   policy: QuadPolicy = DEFAULT_POLICY, kernel: str = "extended") -> EvalResult:
+                   policy: QuadPolicy = DEFAULT_POLICY, kernel: str = "extended", *,
+                   betas: _BetaColumn | None = None) -> EvalResult:
     """Weighted tail integral of the kernel against the counting function.
 
     Computes the integral over (a_1, inf) of
@@ -543,33 +553,43 @@ def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternatin
     counting function (non-alternating) or its parity indicator
     (alternating).  Evaluated as a sum of per-interval integrals whose
     boundaries are exactly the sequence points, plus an analytic tail; the
-    first slot moves the kernel parameter and the x power together.
+    first slot moves the kernel parameter and the x power together.  betas
+    lets two integrals at the same params and policy share the extended-Beta
+    column B(c-b+m, b; q, p) of their kernel expansions.
     """
     return _cahen_engine(alpha, beta_, params.seq, params.r, params.b, params.c,
-                         params.pq, alternating, policy, kernel)
+                         params.pq, alternating, policy, kernel, betas)
+
+
+def _representation(params: MathieuParams, policy: QuadPolicy, kernel: str,
+                    alternating: bool) -> SeriesResult:
+    # lam * I(lam+1, eta) + eta * I(lam, eta+1); the two kernel expansions
+    # (alpha = lam+1 and alpha = lam) share one Beta column
+    betas = None
+    if kernel == "extended":
+        betas = _BetaColumn(params.c - params.b, params.b, params.pq.swapped(),
+                            _inner_policy(policy))
+    i1 = cahen_integral(params.lam + 1.0, params.eta, params, alternating, policy, kernel,
+                        betas=betas)
+    i2 = cahen_integral(params.lam, params.eta + 1.0, params, alternating, policy, kernel,
+                        betas=betas)
+    value = params.lam * i1.value + params.eta * i2.value
+    bound = params.lam * i1.err_est + params.eta * i2.err_est
+    return SeriesResult(value, bound, i1.n_work + i2.n_work, "integral_representation",
+                        i1.converged and i2.converged)
 
 
 def mathieu_via_integral(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
                          kernel: str = "extended") -> SeriesResult:
     """Series value through its closed integral representation:
     lam * I(lam+1, eta) + eta * I(lam, eta+1) with the counting weight."""
-    i1 = cahen_integral(params.lam + 1.0, params.eta, params, False, policy, kernel)
-    i2 = cahen_integral(params.lam, params.eta + 1.0, params, False, policy, kernel)
-    value = params.lam * i1.value + params.eta * i2.value
-    bound = params.lam * i1.err_est + params.eta * i2.err_est
-    return SeriesResult(value, bound, i1.n_work + i2.n_work, "integral_representation",
-                        i1.converged and i2.converged)
+    return _representation(params, policy, kernel, alternating=False)
 
 
 def mathieu_alt_via_integral(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
                              kernel: str = "extended") -> SeriesResult:
     """Alternating series through its integral representation (parity weight)."""
-    i1 = cahen_integral(params.lam + 1.0, params.eta, params, True, policy, kernel)
-    i2 = cahen_integral(params.lam, params.eta + 1.0, params, True, policy, kernel)
-    value = params.lam * i1.value + params.eta * i2.value
-    bound = params.lam * i1.err_est + params.eta * i2.err_est
-    return SeriesResult(value, bound, i1.n_work + i2.n_work, "integral_representation",
-                        i1.converged and i2.converged)
+    return _representation(params, policy, kernel, alternating=True)
 
 
 def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,

@@ -11,6 +11,10 @@ Semi-infinite integrals are folded onto (0, 1) by x = lo + u/(1-u) and reuse the
 finite engine; the Jacobian singularity at u = 1 is absorbed by the same
 endpoint clustering.
 
+One node sweep (_fan) serves every entry point: a scalar integrand, plain or
+in log space, and a table of moments (x - lo)**j exp(lg) that shares one node
+fan for all j (integrate_log_moments).  Both share the stop rules (_verdict).
+
 All entry points are pure functions of their arguments; there is no global
 mutable state, so concurrent use from multiple threads is safe.
 """
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable
 
 from .errors import DomainError, IntegrandError
@@ -29,6 +35,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "integrate_finite",
     "integrate_finite_xc",
+    "integrate_log_moments",
     "integrate_to_infinity",
 ]
 
@@ -38,6 +45,8 @@ _EPS = math.ulp(1.0)
 _T_MAX = 6.56
 # consecutive negligible contributions before a side of the node fan is closed
 _CONSEC = 3
+# a contribution at most this share of its sweep's running l1 norm is negligible
+_NEGLIGIBLE = 0.5 * _EPS
 
 
 @dataclass(frozen=True)
@@ -80,41 +89,120 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _tanh_sinh(g: Callable[[float, float, float], float], lo: float, hi: float,
-               policy: QuadPolicy, endpoint_safe: bool) -> IntegrationResult:
-    # endpoint_safe=True: the integrand only sees x, so a side must stop once
-    # the abscissa collapses onto the endpoint float grid; any mass left in
-    # that sliver is charged to the error estimate.  endpoint_safe=False:
-    # distance-aware integrands keep going until the offset itself underflows.
+def _verdict(level: int, err: float, floor: float, defect: float, defect_prev: float,
+             tol: float) -> tuple[float, bool, bool]:
+    """Stop rules for one finished refinement level: (estimate, stop, converged)."""
+    est = max(err, floor, defect)
+    if est <= tol:
+        return est, True, True
+    # refinement has hit the representational floor and the endpoint defect
+    # has stopped improving; further halving cannot reduce the estimate
+    stalled = level >= 2 and err <= max(floor, defect) \
+        and (defect == 0.0 or defect > 0.45 * defect_prev)
+    return est, stalled, False
+
+
+def _fan(acc, lo: float, hi: float, max_refinements: int, max_evals: int,
+         endpoint_safe: bool) -> int:
+    """Sweep the tanh-sinh node fan over (lo, hi), halving the step each level.
+
+    Returns the number of node evaluations.  The accumulator ``acc`` owns the
+    sums: ``acc.node(x, dlo, dhi, w, delta, side)`` evaluates one node (side
+    0 runs toward hi, 1 toward lo, 2 is the centre) and returns True when its
+    contribution is negligible; ``acc.forced(side)`` hears that the float grid
+    closed a side; ``acc.settle(level, h)`` folds in a finished level and
+    returns True to stop.  Running out of budget keeps the last settled level.
+
+    endpoint_safe=True: the integrand only sees x, so a side must stop once
+    the abscissa collapses onto the endpoint float grid; any mass left in
+    that sliver is charged to the error estimate.  endpoint_safe=False:
+    distance-aware integrands keep going until the offset itself underflows.
+    """
     width = hi - lo
     half = 0.5 * width
     n_evals = 0
+    try:
+        for level in range(max_refinements + 1):
+            # trapezoid nodes at t = k*h; on refinement levels only the odd
+            # multiples are new
+            h = 0.5 ** level
+            k = 1 if level else 0
+            step = 2 if level else 1
+            open_ = [True, True]
+            misses = [0, 0]
+            while open_[0] or open_[1]:
+                t = k * h
+                if t > _T_MAX:
+                    break
+                # sinh is odd and cosh even, so both sides share one geometry
+                u = _HALF_PI * math.sinh(t)
+                s = math.exp(-u)
+                s2 = s * s
+                delta = width * s2 / (1.0 + s2)  # distance to the nearest endpoint
+                sech = 2.0 * s / (1.0 + s2)
+                w = half * _HALF_PI * math.cosh(t) * sech * sech
+                for side in ((2,) if k == 0 else (0, 1)):
+                    if side < 2 and not open_[side]:
+                        continue
+                    if side == 1:
+                        x = lo + delta
+                        dlo, dhi = delta, width - delta
+                    else:
+                        x = hi - delta
+                        dlo, dhi = width - delta, delta
+                    if delta == 0.0 or w == 0.0 or (endpoint_safe and not lo < x < hi):
+                        if side < 2:
+                            # closure forced by the float grid, not by smallness
+                            open_[side] = False
+                            acc.forced(side)
+                        continue
+                    if n_evals >= max_evals:
+                        raise _BudgetExceeded
+                    n_evals += 1
+                    if acc.node(x, dlo, dhi, w, delta, side) and side < 2:
+                        misses[side] += 1
+                        if misses[side] >= _CONSEC:
+                            open_[side] = False
+                    elif side < 2:
+                        misses[side] = 0
+                k += step
+            if acc.settle(level, h):
+                break
+    except _BudgetExceeded:
+        pass
+    return n_evals
 
-    def contrib(t: float) -> tuple[float, float] | None:
-        nonlocal n_evals
-        u = _HALF_PI * math.sinh(t)
-        s = math.exp(-abs(u))
-        s2 = s * s
-        delta = width * s2 / (1.0 + s2)  # distance to the nearest endpoint
-        if delta == 0.0:
-            return None
-        sech = 2.0 * s / (1.0 + s2)
-        w = half * _HALF_PI * math.cosh(t) * sech * sech
-        if w == 0.0:
-            return None
-        if u >= 0.0:
-            x = hi - delta
-            dlo, dhi = width - delta, delta
-        else:
-            x = lo + delta
-            dlo, dhi = delta, width - delta
-        if endpoint_safe and not (lo < x < hi):
-            return None
-        if n_evals >= policy.max_evals:
-            raise _BudgetExceeded
-        n_evals += 1
+
+class _Sum:
+    """Trapezoid sums of one integrand g(x, dlo, dhi) over a node fan.
+
+    A log-space g returns log f; its error floor then charges the rounding of
+    exp(log f), |log f| + 2 ulps of each contribution.
+    """
+
+    def __init__(self, g: Callable[[float, float, float], float], policy: QuadPolicy,
+                 log_space: bool = False):
+        self.g, self.policy, self.log_space = g, policy, log_space
+        self.parts: list[float] = []
+        self.l1 = 0.0
+        self.rounding = 0.0
+        # |f| * delta at the last node of each side: a forced closure strands
+        # at most ~16x that much mass (integrable singularities up to ~15/16)
+        self.slivers = [0.0, 0.0, 0.0]
+        self.defect = 0.0
+        self.value = 0.0
+        self.l1_total = 0.0
+        self.rounding_total = 0.0
+        self.est = math.inf
+        self.defect_prev = math.inf
+        self.converged = False
+
+    def node(self, x: float, dlo: float, dhi: float, w: float, delta: float, side: int) -> bool:
         try:
-            fx = g(x, dlo, dhi)
+            fx = self.g(x, dlo, dhi)
+            if self.log_space:
+                lf = fx
+                fx = math.exp(lf)
         except OverflowError:
             raise IntegrandError(f"integrand overflowed at x={x!r}") from None
         val = w * fx
@@ -122,87 +210,125 @@ def _tanh_sinh(g: Callable[[float, float, float], float], lo: float, hi: float,
             if not math.isfinite(fx):
                 raise IntegrandError(f"non-finite integrand value {fx!r} at x={x!r}")
             raise IntegrandError(f"integrand contribution overflowed at x={x!r}")
-        return val, abs(fx) * delta
+        if self.log_space and val:
+            self.rounding += val * (abs(lf) + 2.0)
+        self.parts.append(val)
+        self.l1 += abs(val)
+        self.slivers[side] = abs(fx) * delta
+        return abs(val) <= _NEGLIGIBLE * self.l1
 
-    def sweep(h: float, odd_only: bool) -> tuple[float, float, float]:
-        # trapezoid contributions at t = k*h; on refinement levels only the
-        # odd multiples are new.  Returns (sum, l1, edge_defect) where
-        # edge_defect bounds mass stranded past a forced endpoint closure:
-        # |f| * delta at the last reachable node covers the sliver up to
-        # integrable singularity strength ~ 15/16 (factor 16).
-        parts: list[float] = []
-        l1 = 0.0
-        defect = 0.0
-        if not odd_only:
-            c0 = contrib(0.0)
-            if c0 is not None:
-                parts.append(c0[0])
-                l1 += abs(c0[0])
-        step = 2 if odd_only else 1
-        k = 1
-        sides = {1.0: [False, 0, 0.0], -1.0: [False, 0, 0.0]}  # [closed, misses, last |f|*delta]
-        while not (sides[1.0][0] and sides[-1.0][0]):
-            t = k * h
-            if t > _T_MAX:
-                break
-            for sign, side in sides.items():
-                if side[0]:
-                    continue
-                res = contrib(sign * t)
-                if res is None:
-                    # closure forced by the float grid, not by smallness
-                    side[0] = True
-                    defect = max(defect, 16.0 * side[2])
-                    continue
-                c, sliver = res
-                parts.append(c)
-                l1 += abs(c)
-                side[2] = sliver
-                if abs(c) <= 0.5 * _EPS * l1:
-                    side[1] += 1
-                    if side[1] >= _CONSEC:
-                        side[0] = True
-                else:
-                    side[1] = 0
-            k += step
-        return math.fsum(parts), l1, defect
+    def forced(self, side: int) -> None:
+        self.defect = max(self.defect, 16.0 * self.slivers[side])
 
-    value = 0.0
-    l1_total = 0.0
-    err = math.inf
-    defect = 0.0
-    defect_prev = math.inf
-    have_prev = False
-    try:
-        for level in range(policy.max_refinements + 1):
-            h = 0.5 ** level
-            part, l1, defect = sweep(h, odd_only=level > 0)
-            if level == 0:
-                new_value = h * part
-                l1_total = h * l1
-            else:
-                new_value = 0.5 * value + h * part
-                l1_total = 0.5 * l1_total + h * l1
-            if have_prev or level > 0:
-                err = abs(new_value - value)
-            value = new_value
-            have_prev = True
-            if level >= 1:
-                floor = 4.0 * _EPS * l1_total
-                est = max(err, floor, defect)
-                if est <= max(policy.abs_tol, policy.rel_tol * abs(value)):
-                    return IntegrationResult(value, est, n_evals, True)
-                if level >= 2 and err <= max(floor, defect) \
-                        and (defect == 0.0 or defect > 0.45 * defect_prev):
-                    # refinement has hit the representational floor and the
-                    # endpoint defect has stopped improving; further halving
-                    # cannot reduce the estimate
-                    return IntegrationResult(value, est, n_evals, False)
-            defect_prev = defect
-    except _BudgetExceeded:
-        est = math.inf if not have_prev else max(err, 4.0 * _EPS * l1_total, defect)
-        return IntegrationResult(value, est, n_evals, False)
-    return IntegrationResult(value, max(err, 4.0 * _EPS * l1_total, defect), n_evals, False)
+    def settle(self, level: int, h: float) -> bool:
+        part = math.fsum(self.parts)
+        keep = 0.0 if level == 0 else 0.5
+        new_value = keep * self.value + h * part
+        self.l1_total = keep * self.l1_total + h * self.l1
+        self.rounding_total = keep * self.rounding_total + h * self.rounding
+        err = abs(new_value - self.value)
+        self.value = new_value
+        defect = self.defect
+        self.parts, self.l1, self.rounding = [], 0.0, 0.0
+        self.slivers, self.defect = [0.0, 0.0, 0.0], 0.0
+        stop = False
+        if level >= 1:
+            tol = max(self.policy.abs_tol, self.policy.rel_tol * abs(new_value))
+            floor = _EPS * (4.0 * self.l1_total + self.rounding_total)
+            self.est, stop, self.converged = _verdict(level, err, floor, defect,
+                                                      self.defect_prev, tol)
+        self.defect_prev = defect
+        return stop
+
+
+class _Moments:
+    """Trapezoid sums of (x - lo)**j * exp(lg(x, dlo, dhi)), j = 0 .. n-1, over one fan.
+
+    Each node evaluates the log weight once and builds the powers by repeated
+    multiplication of the exact offset dlo = x - lo.  Every contribution is
+    nonnegative, so a sum is its own l1 norm.  Every entry gets its own
+    verdict at each level; the fan stops at the first level at which every
+    entry has converged or stalled, and all entries report that level.
+    """
+
+    def __init__(self, lg: Callable[[float, float, float], float], n: int, policy: QuadPolicy):
+        self.lg, self.n, self.policy = lg, n, policy
+        self.rows: list[list[float]] = []   # per node of the current level
+        self.logs: list[float] = []         # |lg| per node of the current level
+        self.run0 = self.run1 = 0.0         # running sums of the first and last entry
+        self.last: list = [None, None, None]
+        self.stranded: list = []
+        self.values = [0.0] * n
+        self.rounding = [0.0] * n
+        self.defect_prev = [math.inf] * n
+        self.est = [math.inf] * n
+        self.converged = [False] * n
+
+    def node(self, x: float, dlo: float, dhi: float, w: float, delta: float, side: int) -> bool:
+        try:
+            lf = self.lg(x, dlo, dhi)
+            c0 = w * math.exp(lf)
+        except OverflowError:
+            raise IntegrandError(f"integrand overflowed at x={x!r}") from None
+        row = list(accumulate(repeat(dlo, self.n - 1), mul, initial=c0))
+        if not math.isfinite(row[-1]):
+            raise IntegrandError(f"non-finite integrand contribution at x={x!r}")
+        self.rows.append(row)
+        self.logs.append(abs(lf) if c0 else 0.0)
+        self.last[side] = (row, delta / w)
+        self.run0 += c0
+        self.run1 += row[-1]
+        # the newest node of a side has the extreme offset of all nodes summed
+        # so far, so the ratio row[j] / run[j] is monotone in j and the first
+        # and last entries decide whether every entry is negligible
+        return c0 <= _NEGLIGIBLE * self.run0 and row[-1] <= _NEGLIGIBLE * self.run1
+
+    def forced(self, side: int) -> None:
+        if self.last[side] is not None:
+            self.stranded.append(self.last[side])
+
+    def settle(self, level: int, h: float) -> bool:
+        cols = list(zip(*self.rows)) if self.rows else [()] * self.n
+        logs = self.logs
+        if self.stranded:
+            scaled = [[16.0 * v * scale for v in row] for row, scale in self.stranded]
+            defects = [max(vs) for vs in zip(*scaled)]
+        else:
+            defects = [0.0] * self.n
+        self.rows, self.logs, self.stranded = [], [], []
+        self.run0 = self.run1 = 0.0
+        self.last = [None, None, None]
+        keep = 0.5 if level else 0.0
+        rel_tol, abs_tol = self.policy.rel_tol, self.policy.abs_tol
+        values, rounding, defect_prev = self.values, self.rounding, self.defect_prev
+        done = True
+        for j, col in enumerate(cols):
+            part = math.fsum(col)
+            old = values[j]
+            new = values[j] = keep * old + h * part
+            # rounding of exp(lg) (|lg| ulps), of the j power products and of
+            # the weight product, on top of the 4-ulp summation floor
+            rnd = rounding[j] = keep * rounding[j] + h * (
+                sum(map(mul, col, logs)) + (j + 2.0) * part)
+            if level:
+                self.est[j], stop, self.converged[j] = _verdict(
+                    level, abs(new - old), _EPS * (4.0 * new + rnd), defects[j],
+                    defect_prev[j], max(abs_tol, rel_tol * new))
+                done = done and stop
+            defect_prev[j] = defects[j]
+        return level > 0 and done
+
+    def results(self, n_evals: int) -> list[IntegrationResult]:
+        return [IntegrationResult(v, e, n_evals, c)
+                for v, e, c in zip(self.values, self.est, self.converged)]
+
+
+def _tanh_sinh(g: Callable[[float, float, float], float], lo: float, hi: float,
+               policy: QuadPolicy, endpoint_safe: bool,
+               log_space: bool = False) -> IntegrationResult:
+    acc = _Sum(g, policy, log_space)
+    n_evals = _fan(acc, lo, hi, policy.max_refinements, policy.max_evals, endpoint_safe)
+    return IntegrationResult(acc.value, acc.est, n_evals, acc.converged)
 
 
 def _check_interval(lo: float, hi: float) -> None:
@@ -226,7 +352,8 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
 
 
 def integrate_finite_xc(g: Callable[[float, float, float], float], lo: float, hi: float,
-                        policy: QuadPolicy = DEFAULT_POLICY) -> IntegrationResult:
+                        policy: QuadPolicy = DEFAULT_POLICY,
+                        log_space: bool = False) -> IntegrationResult:
     """Distance-aware variant of integrate_finite.
 
     The integrand is called as g(x, x - lo, hi - x) with both endpoint
@@ -234,9 +361,38 @@ def integrate_finite_xc(g: Callable[[float, float, float], float], lo: float, hi
     form for integrands whose singular endpoint factors would otherwise lose
     precision to the coarse float grid near an endpoint of magnitude ~1
     (for example (1-t)**(y-1) near t = 1).
+
+    With log_space=True, g returns log f instead of f; the error floor then
+    also charges the rounding of exp(log f): eps * sum w*f*(|log f| + 2).
     """
     _check_interval(lo, hi)
-    return _tanh_sinh(g, lo, hi, policy, endpoint_safe=False)
+    return _tanh_sinh(g, lo, hi, policy, endpoint_safe=False, log_space=log_space)
+
+
+def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float, hi: float,
+                          n: int, policy: QuadPolicy = DEFAULT_POLICY) -> list[IntegrationResult]:
+    """Integrals of (x - lo)**j * exp(lg(x, x - lo, hi - x)) over (lo, hi), j = 0 .. n-1.
+
+    One node fan serves all n entries: lg is evaluated once per node, in log
+    space from the exact endpoint distances as in integrate_finite_xc, and
+    the powers come from repeated multiplication of the exact offset x - lo.
+    Each entry has its own value, error estimate and converged flag; every
+    entry's n_evals is the node count of the shared fan.  A side of the fan
+    closes only once every entry is negligible there, and the fan may spend
+    n * policy.max_evals node evaluations, the budget of n separate
+    quadratures.
+
+    The error floor charges the rounding of exp(lg), about |lg| ulps per
+    node, and of the j power products: eps * sum w*f*(|lg| + j + 2) on top
+    of the 4-ulp summation floor.
+    """
+    _check_interval(lo, hi)
+    if n < 1:
+        raise DomainError(f"integrate_log_moments needs n >= 1, got {n}")
+    acc = _Moments(lg, n, policy)
+    n_evals = _fan(acc, lo, hi, policy.max_refinements, n * policy.max_evals,
+                   endpoint_safe=False)
+    return acc.results(n_evals)
 
 
 def integrate_to_infinity(f: Callable[[float], float], lo: float,

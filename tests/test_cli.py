@@ -82,6 +82,18 @@ def test_byte_identical_reruns():
     assert first.returncode == second.returncode == 0
 
 
+def test_consecutive_in_process_calls_match_fresh_processes(capsys):
+    from pqmathieu.cli import main
+    runs = [("eval", "--target", "beta", "--x", "2", "--y", "3", "--p", "0.5", "--q", "0"),
+            ("eval", "--target", "kummer", "--b", "1", "--c", "2", "--z", "-1",
+             "--p", "0.1", "--q", "0.1", "--output", "json"),
+            ("eval", "--target", "beta", "--x", "2", "--y", "3", "--p", "0.5", "--q", "0")]
+    for args in runs:
+        fresh = run_cli(*args)
+        assert main(list(args)) == fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+
+
 def test_scan_row_count_and_order():
     out = run_cli("scan", "--target", "mathieu", "--lambda", "1", "--eta", "1.5",
                   "--b", "1", "--c", "2", "--p", "0", "--q", "0", "--seq", "n",

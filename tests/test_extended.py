@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 
 from pqmathieu.classical import HyperTriple, beta, gauss_2f1, kummer_1f1
 from pqmathieu.errors import DomainError
-from pqmathieu.extended import (PQParams, envelope_factor, extended_beta,
+from pqmathieu.extended import (PQParams, envelope_factor, extended_beta, extended_beta_table,
                                 extended_gauss_integral, extended_gauss_series,
                                 extended_kummer, gauss_bound_rhs, kummer_coefficient_table,
                                 kummer_series_value)
 from pqmathieu.verification import laplace_identity_pair
-from pqmathieu.quadrature import DEFAULT_POLICY
+from pqmathieu.quadrature import DEFAULT_POLICY, QuadPolicy
 
 # midpoint-rule oracle, 10^7 panels (tests/make_oracles.py), mpmath-confirmed
 O_BETA_HALF = 0.06654306042249714
 # 120-term mpmath series oracle for Phi_{0.1,0.1}(1;2;-1) (tests/make_oracles.py)
 O_EXT_KUMMER = 0.3083466827082625
+# B(1,1;139,29): trapezoid rule and Gauss-Legendre at 40-60 digits
+# (tests/make_oracles.py)
+O_BETA_LARGE_PQ = 3.722978487050339126e-130
 
 
 def test_pq_validation():
@@ -49,6 +52,55 @@ def test_extended_beta_oracle():
     res = extended_beta(1.0, 1.0, PQParams(0.5, 0.5))
     assert res.converged
     assert res.value == pytest.approx(O_BETA_HALF, rel=5e-14)
+
+
+def test_large_pq_error_estimate_covers_oracle():
+    # exp(lf) at |lf| ~ 300 carries ~300 ulps of rounding per node
+    pq = PQParams(139.0, 29.0)
+    for res in (extended_beta(1.0, 1.0, pq),
+                extended_beta_table(1.0, 1.0, pq, 32)[0],
+                extended_gauss_integral(HyperTriple(2.0, 1.0, 2.0), 0.0, pq)):
+        assert res.converged
+        assert res.err_est >= abs(res.value - O_BETA_LARGE_PQ)
+
+
+_TABLE_ARGS = (st.floats(0.1, 3.0, exclude_min=True), st.floats(0.1, 3.0, exclude_min=True),
+               st.floats(0.0, 150.0), st.floats(0.0, 150.0), st.integers(1, 200))
+
+
+@settings(max_examples=20, deadline=None)
+@given(*_TABLE_ARGS)
+def test_beta_table_matches_scalar(x0, y, p, q, n):
+    pq = PQParams(p, q)
+    table = extended_beta_table(x0, y, pq, n)
+    assert len(table) == n
+    for j, entry in enumerate(table):
+        ref = extended_beta(x0 + j, y, pq)
+        assert entry.value > 0.0
+        assert abs(entry.value - ref.value) <= entry.err_est + ref.err_est \
+            + 4.0 * math.ulp(ref.value), j
+
+
+@settings(max_examples=20, deadline=None)
+@given(*_TABLE_ARGS)
+def test_starved_beta_table_reports_instead_of_raising(x0, y, p, q, n):
+    policy = QuadPolicy(max_evals=40)
+    table = extended_beta_table(x0, y, PQParams(p, q), n, policy)
+    assert table[0].n_work <= 40 * n
+    for entry in table:
+        assert entry.n_work == table[0].n_work
+        if entry.converged:
+            assert entry.err_est <= policy.rel_tol * entry.value
+
+
+def test_starved_table_budget_scales_with_entries():
+    # 40 nodes cannot settle one entry, but 32 entries may spend 32 * 40
+    policy = QuadPolicy(max_evals=40)
+    res = extended_beta_table(1.0, 1.0, PQParams(0.5, 0.5), 1, policy)[0]
+    assert res.n_work == 40 and not res.converged
+    table = extended_beta_table(1.0, 1.0, PQParams(0.5, 0.5), 32, policy)
+    assert all(entry.converged for entry in table)
+    assert 40 < table[0].n_work <= 32 * 40
 
 
 def test_extended_beta_domain():
@@ -158,6 +210,19 @@ def test_series_respects_n_max():
     trip = HyperTriple(1.0, 1.0, 2.0)
     res = extended_gauss_series(trip, -0.9, PQParams(0.1, 0.1), n_max=5)
     assert not res.converged
+
+
+def test_series_convergence_is_honest():
+    trip, pq = HyperTriple(1.0, 1.0, 2.0), PQParams(0.5, 0.5)
+    # converged means the tail plus the coefficient errors meet the tolerance
+    for policy in (QuadPolicy(max_evals=40), DEFAULT_POLICY):
+        for res in (extended_gauss_series(trip, -0.5, pq, policy=policy),
+                    extended_kummer(1.0, 2.0, -8.0, pq, policy)):
+            assert not res.converged or res.err_est <= policy.rel_tol * abs(res.value)
+    # two refinement levels settle no coefficient, so neither series converges
+    policy = QuadPolicy(max_refinements=1)
+    assert not extended_gauss_series(trip, -0.5, pq, policy=policy).converged
+    assert not extended_kummer(1.0, 2.0, -8.0, pq, policy).converged
 
 
 def test_extended_kummer_at_zero():
