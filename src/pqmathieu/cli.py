@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import inspect
 import io
 import json
 import sys
@@ -216,8 +215,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     records = []
     for name in names:
         for fn in SUITES[name]:
-            takes_policy = "policy" in inspect.signature(fn).parameters
-            for r in fn(policy) if takes_policy else fn():
+            for r in fn(policy):
                 records.append({"suite": r.suite, "check": r.check, "params": r.params,
                                 "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
                                 "pass": r.passed})
@@ -249,8 +247,8 @@ def cmd_scan(ns: argparse.Namespace) -> int:
         rows = [{**base, k1: v1, k2: v2} for v1 in pts1 for v2 in pts2]
 
     # the whole sweep must lie inside the target domain before row 1 runs
-    prepared = [_prevalidate(ns.target, row) for row in rows]
-    del prepared
+    for row in rows:
+        _prevalidate(ns.target, row)
     records = []
     ok = True
     for row in rows:

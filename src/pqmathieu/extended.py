@@ -54,10 +54,6 @@ class PQParams:
         """sup of the damping factor over (0,1): exp(-(sqrt(p)+sqrt(q))**2)."""
         return math.exp(-((math.sqrt(self.p) + math.sqrt(self.q)) ** 2))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.p == 0.0 and self.q == 0.0
-
     def swapped(self) -> "PQParams":
         return PQParams(self.q, self.p)
 

@@ -19,10 +19,16 @@ through the Pfaff-type transformation
     kappa_m = (s)_m/m! * B(c-b+m, b; q, p) / B(b, c-b),
 
 whose ratio r^2/(x+r^2) stays at or below 1/2 on the whole integration range
-(r^2 <= a_1), so the expansion converges uniformly; the power tails close in
-elementary form, by Euler-Maclaurin corrections, or by an Euler
-transformation for alternating sums.  All remainders are tracked and
-reported in tail_bound / err_est.
+when r^2 <= a_1 (MathieuParams requires it), so the expansion converges
+uniformly.  Its powers integrate in closed form, so every panel of the
+integral representation is an exact sum over orders, with no quadrature; the
+power tails beyond the panels close by Euler-Maclaurin corrections, or by an
+Euler transformation for alternating sums.  The counting-weight power
+integrals of the bounds are the constant kernel 1 = 2F1(s, 0; c; z),
+kappa_m = (s)_m/m!, on the same path; u_integral also accepts r^2 > a_1 and
+integrates the few panels left of r^2 by quadrature.  All remainders,
+including the omitted expansion orders, are tracked and reported in
+tail_bound / err_est.
 """
 
 from __future__ import annotations
@@ -56,43 +62,31 @@ __all__ = [
     "bound_mathieu_alt_rhs",
 ]
 
+_EPS = math.ulp(1.0)
+
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Monotone divergent sequence a_n with its continuous extension.
+    """Monotone divergent sequence a_n = scale * n**exponent with its
+    continuous extension a(x) = scale * x**exponent."""
 
-    The built-in family is a(x) = scale * x**exponent; arbitrary sequences
-    can be supplied as a strictly increasing forward/inverse callable pair.
-    """
-
-    kind: str
     scale: float = 1.0
     exponent: float = 1.0
-    fwd: Callable[[float], float] | None = None
-    inv: Callable[[float], float] | None = None
 
     @classmethod
     def power(cls, scale: float = 1.0, exponent: float = 1.0) -> "SequenceSpec":
         if not (scale > 0.0 and exponent > 0.0):
             raise DomainError("power sequence requires scale > 0 and exponent > 0")
-        return cls(kind="power", scale=scale, exponent=exponent)
-
-    @classmethod
-    def custom(cls, fwd: Callable[[float], float], inv: Callable[[float], float]) -> "SequenceSpec":
-        return cls(kind="custom", fwd=fwd, inv=inv)
+        return cls(scale=scale, exponent=exponent)
 
     def value(self, x: float) -> float:
-        if self.kind == "power":
-            try:
-                return self.scale * x ** self.exponent
-            except OverflowError:
-                return math.inf  # far probe points; callers take negative powers
-        return self.fwd(x)
+        try:
+            return self.scale * x ** self.exponent
+        except OverflowError:
+            return math.inf  # far probe points; callers take negative powers
 
     def inverse(self, y: float) -> float:
-        if self.kind == "power":
-            return (y / self.scale) ** (1.0 / self.exponent)
-        return self.inv(y)
+        return (y / self.scale) ** (1.0 / self.exponent)
 
     @property
     def a1(self) -> float:
@@ -100,8 +94,6 @@ class SequenceSpec:
 
     @property
     def label(self) -> str:
-        if self.kind != "power":
-            return "custom"
         s, k = self.scale, self.exponent
         if s == 1.0:
             return "n" if k == 1.0 else f"n^{k:g}"
@@ -184,9 +176,9 @@ class _KernelCoeffs:
     """Lazily grown coefficients of the transformed kernel expansion.
 
     kappa_m = (alpha)_m/m! * B(c-b+m, b; q, p) / B(b, c-b) for the extended
-    kernel; the classical kernel uses the exact ratio (c-b)_m/(c)_m, and
-    kind "one" stands for the constant kernel 1 (u-integrals).  The Beta
-    column may be shared with another expansion at the same (b, c, p, q) and
+    kernel; the classical kernel uses the exact ratio (c-b)_m/(c)_m, which
+    is 1 for the constant kernel 2F1(alpha, 0; c; z) = 1.  The Beta column
+    may be shared with another expansion at the same (b, c, p, q) and
     policy; work counts the blocks this expansion computed.
     """
 
@@ -194,8 +186,8 @@ class _KernelCoeffs:
                  policy: QuadPolicy, kind: str, betas: _BetaColumn | None = None):
         self.alpha, self.b, self.c = alpha, b, c
         self.kind = kind
-        self.values: list[float] = [1.0] if kind == "one" else []
-        self.err_values: list[float] = [0.0] if kind == "one" else []
+        self.values: list[float] = []
+        self.err_values: list[float] = []
         self.work = 0
         self._pf = 1.0      # (alpha)_m / m!
         self._ratio = 1.0   # (c-b)_m / (c)_m, classical only
@@ -206,7 +198,7 @@ class _KernelCoeffs:
             self._betas = betas
 
     def grow(self, m_count: int) -> None:
-        if self.kind == "one" or len(self.values) >= m_count:
+        if len(self.values) >= m_count:
             return
         if self.kind == "extended":
             before = self._betas.n_work
@@ -224,25 +216,8 @@ class _KernelCoeffs:
             self._pf *= (self.alpha + m) / (m + 1.0)
 
 
-def _kernel_value(alpha: float, b: float, c: float, pq: PQParams, z: float,
-                  policy: QuadPolicy, kind: str) -> EvalResult:
-    if kind == "one":
-        return EvalResult(1.0, 0.0, 0, True)
-    if kind == "classical":
-        return gauss_2f1_raw(alpha, b, c, z, policy)
-    return extended_gauss_integral(HyperTriple(alpha, b, c), z, pq, policy)
-
-
 # ---------------------------------------------------------------------------
 # tail helpers
-
-
-def _ct_value(s: float, xpow: float, eta: float, r: float, policy: QuadPolicy) -> float:
-    # integral over (s, inf) of x^(-xpow) (x+r^2)^(-eta) dx via GR 3.194.1:
-    # 2F1(eta, xpow+eta-1; xpow+eta; -r^2/s) / ((xpow+eta-1) s^(xpow+eta-1))
-    sden = xpow + eta - 1.0
-    hyp = gauss_2f1_raw(eta, sden, sden + 1.0, -r * r / s, policy)
-    return hyp.value * math.exp(-sden * math.log(s)) / sden
 
 
 def _fd1(f: Callable[[float], float], y: float, h: float = 0.5) -> float:
@@ -302,11 +277,80 @@ def _series_tail_start(seq: SequenceSpec, r2: float) -> int:
     return a
 
 
-def _m_count_for(rho: float, target: float = 1e-16) -> int:
-    if rho <= 0.0:
-        return 2
-    m = int(math.ceil(math.log(target * (1.0 - rho)) / math.log(rho))) + 1
-    return min(max(m, 3), 140)
+def _orders(alpha: float, w: float, target: float) -> tuple[int, float]:
+    # expansion orders m kept at ratio w (w^m/(1-w) <= target, 3..140) and
+    # the factor 1/(1-q) by which |kappa_m| w^m bounds all omitted orders:
+    # |kappa_{j+1}/kappa_j| w <= (|alpha|+j)/(j+1) w (the Beta or (c-b)_j
+    # ratio is <= 1), which for every j >= m stays below
+    # q = w max(1, (|alpha|+m)/(m+1)); m grows while q > 1/2
+    if w <= 0.0:
+        return 2, 1.0
+    m = min(max(int(math.ceil(math.log(target * (1.0 - w)) / math.log(w))) + 1, 3), 140)
+    q = w * max(1.0, (abs(alpha) + m) / (m + 1.0))
+    while q > 0.5 and m < 140:
+        m += 1
+        q = w * max(1.0, (abs(alpha) + m) / (m + 1.0))
+    return m, (1.0 / (1.0 - q) if q < 1.0 else math.inf)
+
+
+def _power_tail(coeffs: _KernelCoeffs, r2: float, w: float,
+                order_tail: Callable[[int], tuple[float, float, float]]) -> tuple[float, float]:
+    # sum_m kappa_m r^(2m) T_m over the orders kept at ratio w (<= the ratio
+    # on every panel of the tail); order_tail(m) gives T_m, its error bound
+    # and an M_m such that the omitted orders j >= m_top add at most
+    # |kappa_m_top| r^(2 m_top) M_m_top / (1-q), q as in _orders
+    m_top, omit = _orders(coeffs.alpha, w, 1e-16)
+    coeffs.grow(m_top + 1)
+    tail = 0.0
+    err = 0.0
+    for m in range(m_top + 1):
+        t_m, b_m, major = order_tail(m)
+        r2m = r2 ** m
+        weight = coeffs.values[m] * r2m
+        err += coeffs.err_values[m] * r2m * abs(t_m) + abs(weight) * b_m
+        if m < m_top:
+            tail += weight * t_m
+        else:
+            err += omit * abs(weight) * major
+    return tail, err
+
+
+def _panel(coeffs: _KernelCoeffs, s0: float, r2: float, lo: float,
+           hi: float) -> tuple[float, float]:
+    """Integral over [lo, hi] of sum_m kappa_m r^(2m) (x+r^2)^-(s0+m), with
+    its error bound.
+
+    Every order integrates exactly: with u = lo+r^2, w = r^2/u and
+    L = -log1p((hi-lo)/u), order m gives u^(1-s0) kappa_m w^m g_m with
+    g_m = -expm1((s0+m-1) L)/(s0+m-1), which keeps its digits on thin panels
+    where the difference of powers u^(1-s) - (u+hi-lo)^(1-s) cancels.  g_m
+    falls with m, so the omitted orders add |kappa_m| w^m g_m / (1-q) at the
+    first one (_orders); the coefficient errors are integrated the same way.
+    Rounding: eps (4m+16) |term| covers w^m, kappa_m (3m) and g_m, and
+    eps |log u| (1+|s0|) |term| the power u^(1-s0) at a rounded exponent.
+    """
+    u = lo + r2
+    w = r2 / u
+    big_l = -math.log1p((hi - lo) / u)
+    m_n, omit = _orders(coeffs.alpha, w, 1e-15)
+    coeffs.grow(m_n + 1)
+    log_term = abs(math.log(u)) * (1.0 + abs(s0))
+    terms = []
+    rnd = 0.0
+    coef_err = 0.0
+    wpow = 1.0
+    for m in range(m_n):
+        t = s0 + m - 1.0
+        wg = wpow * (-math.expm1(t * big_l) / t if t != 0.0 else -big_l)
+        term = coeffs.values[m] * wg
+        terms.append(term)
+        rnd += (4.0 * m + 16.0 + log_term) * abs(term)
+        coef_err += coeffs.err_values[m] * wg
+        wpow *= w
+    t = s0 + m_n - 1.0
+    trunc = omit * abs(coeffs.values[m_n]) * wpow * -math.expm1(t * big_l) / t
+    scale = u ** (1.0 - s0)
+    return scale * math.fsum(terms), scale * (_EPS * rnd + coef_err + trunc)
 
 
 def _inner_policy(policy: QuadPolicy) -> QuadPolicy:
@@ -324,7 +368,7 @@ def _inner_policy(policy: QuadPolicy) -> QuadPolicy:
 
 def _check_series_convergence(params: MathieuParams) -> None:
     seq = params.seq
-    if seq.kind == "power" and seq.exponent * (params.lam + params.eta) <= 1.0:
+    if seq.exponent * (params.lam + params.eta) <= 1.0:
         raise DivergenceError(
             f"series diverges: exponent*(lam+eta) = "
             f"{seq.exponent * (params.lam + params.eta):g} <= 1")
@@ -344,7 +388,8 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
         nonlocal head_err
         for n in range(len(head_terms) + 1, upto):
             an = seq.value(n)
-            fres = _kernel_value(lam, params.b, params.c, params.pq, -r2 / an, inner, kind)
+            fres = (gauss_2f1_raw(lam, params.b, params.c, -r2 / an, inner) if kind == "classical"
+                    else extended_gauss_integral(params.triple, -r2 / an, params.pq, inner))
             w = math.exp(-lam * math.log(an)) * (an + r2) ** (-eta)
             sign = 1.0 if (not alternating or n % 2 == 1) else -1.0
             head_terms.append(sign * fres.value * w)
@@ -352,30 +397,23 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
 
     coeffs = _KernelCoeffs(lam, params.b, params.c, params.pq, inner, kind)
     a_start = _series_tail_start(seq, r2)
+
+    def order_tail(m: int) -> tuple[float, float, float]:
+        psi = lambda y, s=lam + eta + m: (seq.value(y) + r2) ** (-s)
+        if alternating:
+            # kappa_j > 0 (alpha = lam > 0), so the omitted orders sum a
+            # positive decreasing sequence and stay below its first term
+            t_m, b_m = _euler_transform_tail(psi, a_start)
+            sign = 1.0 if a_start % 2 == 1 else -1.0
+            return sign * t_m, b_m, psi(float(a_start))
+        t_m, b_m, _ = _em_integer_tail(psi, a_start, inner)
+        return t_m, b_m, abs(t_m)
+
     attempts = 0
     while True:
         extend_head(a_start)
-        w_a = r2 / (seq.value(a_start) + r2)
-        m_top = _m_count_for(w_a)
-        coeffs.grow(m_top + 1)
-        tail = 0.0
-        tail_err = head_err
-        for m in range(m_top + 1):
-            s_m = lam + eta + m
-            psi = lambda y, s=s_m: (seq.value(y) + r2) ** (-s)
-            if alternating:
-                t_m, b_m = _euler_transform_tail(psi, a_start)
-                t_m *= 1.0 if a_start % 2 == 1 else -1.0
-            else:
-                t_m, b_m, _ = _em_integer_tail(psi, a_start, inner)
-            weight = coeffs.values[m] * r2 ** m
-            tail_err += coeffs.err_values[m] * r2 ** m * abs(t_m)
-            if m < m_top:
-                tail += weight * t_m
-                tail_err += weight * b_m
-            else:
-                # geometric bound on the omitted expansion orders
-                tail_err += 2.0 * weight * abs(t_m) + weight * b_m
+        tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), order_tail)
+        tail_err += head_err
         value = math.fsum(head_terms) + tail
         tol = max(policy.abs_tol, policy.rel_tol * abs(value))
         if tail_err <= tol or attempts >= 3:
@@ -415,8 +453,6 @@ def mathieu_alternating_direct(params: MathieuParams, policy: QuadPolicy = DEFAU
 
 def _check_weighted_convergence(alpha: float, beta_: float, seq: SequenceSpec,
                                 alternating: bool) -> None:
-    if seq.kind != "power":
-        return
     k = seq.exponent
     if alternating:
         if k * (alpha + beta_) <= 1.0:
@@ -432,113 +468,57 @@ def _check_weighted_convergence(alpha: float, beta_: float, seq: SequenceSpec,
 def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
                   b: float, c: float, pq: PQParams, alternating: bool,
                   policy: QuadPolicy, kind: str,
-                  betas: _BetaColumn | None = None) -> EvalResult:
+                  betas: _BetaColumn | None = None, first: int = 1,
+                  head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
+    # panels n < first are already summed, weighted, in head
     _check_weighted_convergence(alpha, beta_, seq, alternating)
     r2 = r * r
+    s0 = alpha + beta_
     inner = _inner_policy(policy)
     coeffs = _KernelCoeffs(alpha, b, c, pq, inner, kind, betas)
-    n_work = 0
-    err = 0.0
-
-    def f_power(x: float) -> float:
-        # kind "one": plain x^(-alpha) (x+r^2)^(-beta_)
-        return math.exp(-alpha * math.log(x)) * (x + r2) ** (-beta_)
-
-    def make_panel_integrand(m_count: int) -> Callable[[float], float]:
-        coeffs.grow(m_count)
-        kap = coeffs.values[:m_count]
-        s0 = alpha + beta_
-
-        def f(x: float) -> float:
-            xr = x + r2
-            w = r2 / xr
-            acc = 0.0
-            for cm in reversed(kap):
-                acc = acc * w + cm
-            return acc * xr ** (-s0)
-
-        return f
-
+    n_work = head.n_work
+    err = head.err_est
     a_start = _series_tail_start(seq, r2)
+
+    def order_tail(m: int) -> tuple[float, float, float]:
+        # panel N of order m integrates to I_N = v(N) - v(N+1) >= 0
+        nonlocal n_work
+        v_m = lambda y, s=s0 + m: (seq.value(y) + r2) ** (1.0 - s) / (s - 1.0)
+        if alternating:
+            # sum_{N>=A} parity(N) I_N = v(A)/2 - (-1)^A ET(I)/2, with ET the
+            # Euler transformation; sum_{N>=A} I_N = v(A) majorises it
+            i_m = lambda y, v=v_m: v(y) - v(y + 1.0)
+            et, et_bound = _euler_transform_tail(i_m, a_start)
+            sign_a = 1.0 if a_start % 2 == 0 else -1.0
+            v_a = v_m(float(a_start))
+            return 0.5 * v_a - 0.5 * sign_a * et, 0.5 * et_bound, abs(v_a)
+        # Abel summation: sum_{N>=A} N (v_N - v_{N+1}) = A v_A + sum_{N>=A+1} v_N
+        em, em_bound, em_work = _em_integer_tail(v_m, a_start + 1, inner)
+        n_work += em_work
+        s_val = a_start * v_m(float(a_start)) + em
+        return s_val, em_bound, abs(s_val)
+
     attempts = 0
-    computed_until = 1
-    head_parts: list[float] = []
-
-    def panel_value(n: int) -> tuple[float, float, int]:
-        lo_x, hi_x = seq.value(n), seq.value(n + 1)
-        if kind == "one":
-            res = integrate_finite_xc(lambda x, dl, dh: f_power(x), lo_x, hi_x, inner)
-            return res.value, res.abs_err_est, res.n_evals
-        w_hi = r2 / (lo_x + r2)  # expansion ratio peaks at the left edge
-        m_n = _m_count_for(w_hi, target=1e-15)
-        f_panel = make_panel_integrand(m_n)
-        res = integrate_finite_xc(lambda x, dl, dh: f_panel(x), lo_x, hi_x, inner)
-        coeffs.grow(m_n + 1)
-        coef_err = 0.0
-        wpow = 1.0
-        for m in range(m_n):
-            coef_err += coeffs.err_values[m] * wpow
-            wpow *= w_hi
-        trunc = (2.0 * coeffs.values[m_n] * w_hi ** m_n + coef_err) \
-            * (lo_x + r2) ** (-(alpha + beta_)) * (hi_x - lo_x)
-        return res.value, res.abs_err_est + trunc, res.n_evals
-
+    computed_until = first
+    head_parts = [head.value]
     while True:
         for n in range(computed_until, a_start):
             if alternating and n % 2 == 0:
                 continue  # parity weight vanishes on even panels: skip exactly
             w_n = 1.0 if alternating else float(n)
-            val, p_err, p_work = panel_value(n)
+            val, p_err = _panel(coeffs, s0, r2, seq.value(n), seq.value(n + 1))
             head_parts.append(w_n * val)
             err += w_n * p_err
-            n_work += p_work
         computed_until = a_start
 
         # analytic tail over panels N >= a_start
-        w_a = r2 / (seq.value(a_start) + r2)
-        m_top = 0 if kind == "one" else _m_count_for(w_a)
-        coeffs.grow(m_top + 1)
-        tail = 0.0
-        tail_err = 0.0
-        for m in range(m_top + 1):
-            if kind == "one":
-                v_m = lambda y: _ct_value(seq.value(y), alpha, beta_, r, inner)
-            else:
-                s_m = alpha + beta_ + m
-                v_m = lambda y, s=s_m: (seq.value(y) + r2) ** (1.0 - s) / (s - 1.0)
-            if alternating:
-                # sum_{N>=A} parity(N) I_N = v(A)/2 - (-1)^A ET(I)/2,
-                # with I_N = v(N) - v(N+1) and ET the Euler transformation
-                i_m = lambda y, v=v_m: v(y) - v(y + 1.0)
-                et, et_bound = _euler_transform_tail(i_m, a_start)
-                sign_a = 1.0 if a_start % 2 == 0 else -1.0
-                s_val = 0.5 * v_m(float(a_start)) - 0.5 * sign_a * et
-                s_bound = 0.5 * et_bound
-            else:
-                # Abel summation: sum_{N>=A} N (v_N - v_{N+1})
-                #                 = A v_A + sum_{N>=A+1} v_N
-                em, em_bound, em_work = _em_integer_tail(v_m, a_start + 1, inner)
-                n_work += em_work
-                s_val = a_start * v_m(float(a_start)) + em
-                s_bound = em_bound
-            if kind == "one":
-                tail += s_val
-                tail_err += s_bound
-                break
-            weight = coeffs.values[m] * r2 ** m
-            tail_err += coeffs.err_values[m] * r2 ** m * abs(s_val)
-            if m < m_top:
-                tail += weight * s_val
-                tail_err += weight * s_bound
-            else:
-                tail_err += 2.0 * weight * abs(s_val) + weight * s_bound
-
+        tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), order_tail)
         value = math.fsum(head_parts) + tail
         total_err = err + tail_err
         tol = max(policy.abs_tol, policy.rel_tol * abs(value))
         if total_err <= tol or attempts >= 3:
             return EvalResult(value, total_err, n_work + coeffs.work,
-                              total_err <= tol)
+                              total_err <= tol and head.converged)
         a_start *= 2
         attempts += 1
 
@@ -552,8 +532,11 @@ def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternatin
     F_{p,q}(alpha, b; c; -r^2/x) w(x) / (x^alpha (x+r^2)^beta_) dx with w the
     counting function (non-alternating) or its parity indicator
     (alternating).  Evaluated as a sum of per-interval integrals whose
-    boundaries are exactly the sequence points, plus an analytic tail; the
-    first slot moves the kernel parameter and the x power together.  betas
+    boundaries are exactly the sequence points, plus an analytic tail.  Each
+    interval integrates the kernel expansion term by term in closed form (no
+    quadrature); its error bound adds a stated rounding bound, the omitted
+    expansion orders and the coefficient errors.  The first slot moves the
+    kernel parameter and the x power together.  betas
     lets two integrals at the same params and policy share the extended-Beta
     column B(c-b+m, b; q, p) of their kernel expansions.
     """
@@ -595,10 +578,29 @@ def mathieu_alt_via_integral(params: MathieuParams, policy: QuadPolicy = DEFAULT
 def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
                policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Counting-weight power integral over (a_1, inf):
-    integral of [a^-1(x)] / (x^lam (x+r^2)^eta) dx."""
+    integral of [a^-1(x)] / (x^lam (x+r^2)^eta) dx.
+
+    The constant kernel 1 is 2F1(lam, 0; c; z), so this is the classical
+    counting-weight integral at b = 0: its panels and tail run through the
+    same expansion, with the binomial coefficients kappa_m = (lam)_m/m! of
+    x^-lam = (x+r^2)^-lam (1-w)^-lam (negative for m >= 1 when lam < 0).
+
+    r^2 > a_1 is accepted: the panels left of r^2 have ratio w above 1/2,
+    where the expansion converges too slowly, so they are integrated by
+    quadrature of x^-lam (x+r^2)^-eta itself.
+    """
     if not (r > 0.0):
         raise DomainError("u_integral requires r > 0")
-    return _cahen_engine(lam, eta, seq, r, 1.0, 2.0, PQParams(), False, policy, "one")
+    _check_weighted_convergence(lam, eta, seq, False)
+    r2, inner = r * r, _inner_policy(policy)
+    power = lambda x, dl, dh: math.exp(-lam * math.log(x)) * (x + r2) ** (-eta)
+    near = [integrate_finite_xc(power, seq.value(n), seq.value(n + 1), inner)  # a_n < r^2
+            for n in range(1, counting_value(seq, math.nextafter(r2, 0.0)) + 1)]
+    head = EvalResult(math.fsum(n * q.value for n, q in enumerate(near, 1)),
+                      math.fsum(n * q.abs_err_est for n, q in enumerate(near, 1)),
+                      sum(q.n_evals for q in near), all(q.converged for q in near))
+    return _cahen_engine(lam, eta, seq, r, 0.0, 1.0, PQParams(), False, policy, "classical",
+                         first=len(near) + 1, head=head)
 
 
 def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
@@ -614,7 +616,9 @@ def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
         raise DomainError("closed_tail_2f1 requires a1 > 0 and r > 0")
     if not r * r < a1:
         raise DomainError(f"closed_tail_2f1 requires r^2 < a1, got r^2={r * r}, a1={a1}")
-    return _ct_value(a1, lam, eta, r, policy)
+    sden = lam + eta - 1.0
+    hyp = gauss_2f1_raw(eta, sden, sden + 1.0, -r * r / a1, policy)
+    return hyp.value * math.exp(-sden * math.log(a1)) / sden
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +643,7 @@ def bound_mathieu_rhs(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY
     lam, eta, b, c, r = params.lam, params.eta, params.b, params.c, params.r
     seq = params.seq
     a1, r2 = seq.a1, r * r
-    if seq.kind == "power" and lam + eta <= 1.0 + 1.0 / seq.exponent:
+    if lam + eta <= 1.0 + 1.0 / seq.exponent:
         raise DivergenceError("bound diverges: lam+eta <= 1 + 1/k")
     env = params.pq.envelope
     u_l1e = u_integral(seq, lam + 1.0, eta, r, policy).value

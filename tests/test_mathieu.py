@@ -1,20 +1,22 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqmathieu.classical import gauss_2f1_raw
 from pqmathieu.errors import DivergenceError, DomainError
 from pqmathieu.extended import PQParams, extended_gauss_integral
-from pqmathieu.mathieu import (MathieuParams, SequenceSpec, alternating_counting_value,
-                               bound_mathieu_alt_rhs, bound_mathieu_rhs, cahen_integral,
-                               closed_tail_2f1, counting_value, mathieu_alt_via_integral,
+from pqmathieu.mathieu import (MathieuParams, SequenceSpec, _KernelCoeffs, _orders, _panel,
+                               alternating_counting_value, bound_mathieu_alt_rhs,
+                               bound_mathieu_rhs, cahen_integral, closed_tail_2f1,
+                               counting_value, mathieu_alt_via_integral,
                                mathieu_alternating_direct, mathieu_direct,
                                mathieu_via_integral, u_integral)
-from pqmathieu.quadrature import integrate_to_infinity
+from pqmathieu.quadrature import DEFAULT_POLICY, integrate_to_infinity
 
 SEQ_N = SequenceSpec.power()
 SEQ_N2 = SequenceSpec.power(1.0, 2.0)
@@ -189,6 +191,102 @@ def test_u_integral_oracle():
     res = u_integral(SEQ_N, 2.0, 2.0, 1.0)
     assert res.converged
     assert res.value == pytest.approx(O_U_INTEGRAL, rel=1e-12)
+
+
+def _u_reference(alpha, beta, r2):
+    # a_n = n: the integral is sum_{N>=1} int_N^inf, and the expansion
+    # x^-alpha = sum_m (alpha)_m/m! r^(2m) (x+r^2)^-(alpha+m) turns each order
+    # into a Hurwitz zeta: sum_m (alpha)_m/m! r^(2m) zeta(s+m-1, 1+r^2)/(s+m-1)
+    with mp.workdps(40):
+        s, rr = mp.mpf(alpha) + mp.mpf(beta), mp.mpf(r2)
+        total, pf, m = mp.mpf(0), mp.mpf(1), 0
+        while pf != 0:
+            term = pf * rr ** m * mp.zeta(s + m - 1, 1 + rr) / (s + m - 1)
+            total += term
+            if m > 3 and abs(term) < mp.mpf(10) ** -25 * abs(total):
+                break
+            pf *= (mp.mpf(alpha) + m) / (m + 1)
+            m += 1
+        return float(total)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.01, 1.0), st.sampled_from((-1.0, 0.0, 1.0)),
+       st.floats(2.0, 5.0, exclude_min=True), st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+def test_u_integral_error_covers_hurwitz_reference(lam, shift, s0, r2):
+    # alpha = lam-1 makes every kappa_m with m >= 1 negative; r^2 = a_1 puts
+    # the first panel at expansion ratio 1/2
+    alpha = lam + shift
+    beta = s0 - alpha
+    assume(alpha + beta > 2.0)
+    r = math.sqrt(r2)
+    res = u_integral(SEQ_N, alpha, beta, r)
+    if res.converged:
+        assert abs(res.value - _u_reference(alpha, beta, r * r)) <= res.err_est
+
+
+def _u_panel(alpha, s0, r2, lo, hi):
+    # the u_integral expansion (b = 0) over one panel, with its 40-digit
+    # Gauss-Legendre reference
+    coeffs = _KernelCoeffs(alpha, 0.0, 1.0, PQ0, DEFAULT_POLICY, "classical")
+    value, err = _panel(coeffs, s0, r2, lo, hi)
+    with mp.workdps(40):
+        ref = float(mp.quad(lambda x: x ** -alpha * (x + r2) ** (alpha - s0), [lo, hi],
+                            method="gauss-legendre"))
+    return value, err, ref, coeffs
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 2.0])
+def test_thin_panel_closed_form(alpha):
+    # panel [1e4, 1e4+1] of x^-alpha (x+1)^-2.5 with a_n = n and r^2 = a_1:
+    # each order's difference of powers cancels four digits
+    s0, r2, lo, hi = alpha + 2.5, 1.0, 1e4, 1e4 + 1.0
+    # ((lo+r^2)^(1-s) - (hi+r^2)^(1-s)) / (s-1) would lose those digits
+    # (1e-13 relative and worse); the expm1/log1p form keeps them
+    value, err, ref, _ = _u_panel(alpha, s0, r2, lo, hi)
+    assert abs(value - ref) <= err <= 2e-14 * ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.99, 3.0), st.floats(2.0, 6.0), st.floats(0.05, 1.0),
+       st.sampled_from((1, 2, 5, 30, 300, 10000)), st.sampled_from((1.0, 2.0)))
+def test_panel_error_covers_gauss_legendre(alpha, s0, r2, n, k):
+    # the stated rounding bound is what covers most of these panels: the
+    # truncation and coefficient terms alone fall short on about 3 in 4
+    value, err, ref, _ = _u_panel(alpha, s0, r2, n ** k, (n + 1) ** k)
+    assert abs(value - ref) <= err
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 3.0])
+@pytest.mark.parametrize("r2", [9.0, 30.0])
+def test_panel_error_covers_omitted_orders(alpha, r2):
+    # a panel [1, 2] at expansion ratio 0.9 or more, where the 140 orders
+    # kept leave the omitted ones as the largest error; kappa_140 < 0 at
+    # alpha = -0.5 (u_integral integrates such panels by quadrature instead)
+    value, err, ref, _ = _u_panel(alpha, 3.0, r2, 1.0, 2.0)
+    assert abs(value - ref) <= err
+
+
+@pytest.mark.parametrize("alpha,beta,r2", [(2.0, 2.0, 9.0), (-0.5, 3.5, 30.0), (3.0, 0.5, 2.5)])
+def test_u_integral_r2_above_a1(alpha, beta, r2):
+    # panels left of r^2 fall back to quadrature; the result still converges
+    # and its error estimate covers the Hurwitz-zeta reference
+    res = u_integral(SEQ_N, alpha, beta, math.sqrt(r2))
+    assert res.converged
+    assert abs(res.value - _u_reference(alpha, beta, r2)) <= res.err_est
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.5, 3.0, 12.0])
+@pytest.mark.parametrize("w", [0.5, 0.3, 1.0 / 9.0])
+def test_omitted_orders_bound(alpha, w):
+    # binomial coefficients (alpha)_j/j! carry the largest Beta ratio, 1; at
+    # alpha = 3, w = 1/2 a factor 2 on the first omitted order falls 4% short
+    m, omit = _orders(alpha, w, 1e-15)
+    kappa = [1.0]
+    for j in range(m + 3000):
+        kappa.append(kappa[-1] * (alpha + j) / (j + 1.0))
+    omitted = math.fsum(abs(kappa[j]) * w ** j for j in range(m, len(kappa)))
+    assert omitted <= omit * abs(kappa[m]) * w ** m
 
 
 def test_u_integral_monotone_in_r():
