@@ -22,13 +22,14 @@ whose ratio r^2/(x+r^2) stays at or below 1/2 on the whole integration range
 when r^2 <= a_1 (MathieuParams requires it), so the expansion converges
 uniformly.  Its powers integrate in closed form, so every panel of the
 integral representation is an exact sum over orders, with no quadrature; the
-power tails beyond the panels close by Euler-Maclaurin corrections, or by an
-Euler transformation for alternating sums.  The counting-weight power
-integrals of the bounds are the constant kernel 1 = 2F1(s, 0; c; z),
-kappa_m = (s)_m/m!, on the same path; u_integral also accepts r^2 > a_1 and
-integrates the few panels left of r^2 by quadrature.  All remainders,
-including the omitted expansion orders, are tracked and reported in
-tail_bound / err_est.
+power tails beyond the panels close by Euler-Maclaurin corrections, whose
+integral term is closed form too (a 2F1 series in the ratio, all terms
+positive), or by an Euler transformation for alternating sums.  The
+counting-weight power integrals of the bounds are the constant kernel
+1 = 2F1(s, 0; c; z), kappa_m = (s)_m/m!, on the same path; u_integral also
+accepts r^2 > a_1 and integrates the few panels left of r^2 by quadrature.
+All remainders, including the omitted expansion orders and the rounding of
+the tail exponents, are tracked and reported in tail_bound / err_est.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .classical import beta as beta_fn
 from .errors import DivergenceError, DomainError
 from .extended import PQParams, _BetaColumn, extended_gauss_integral
 from .extended import extended_beta  # noqa: F401  (traced by bench/worker.py)
-from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_to_infinity
+from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc
+from .quadrature import integrate_to_infinity  # noqa: F401  (traced by bench/worker.py)
 from .results import EvalResult
 
 __all__ = [
@@ -233,24 +235,82 @@ def _fd5(f: Callable[[float], float], y: float, h: float = 0.5) -> float:
             + 5.0 * f(y + h) - 4.0 * f(y + 2 * h) + f(y + 3 * h)) / (2.0 * h ** 5)
 
 
-def _em_integer_tail(f: Callable[[float], float], a: int,
-                     policy: QuadPolicy) -> tuple[float, float, int]:
-    # sum_{n=a}^inf f(n) for smooth, completely monotone-ish f:
+def _sigma_err(sigma: float) -> float:
+    # the tail exponents are the rounded sums lam+eta+m (two roundings, each
+    # at most eps/2 of a partial sum <= sigma) or alpha+beta+m-1 (three, of
+    # partial sums <= sigma+1), so they lie within 1.5 eps (sigma+1) of the
+    # exact exponent
+    return 1.5 * _EPS * (abs(sigma) + 1.0)
+
+
+def _power_integral(seq: SequenceSpec, r2: float, a: int,
+                    sigma: float) -> tuple[float, float]:
+    """Closed form of the integral over (a, inf) of (s y^k + r^2)^-sigma dy,
+    k sigma > 1, with its error bound.
+
+    y = a t^(-1/k) gives an Euler integral (DLMF 15.6.1) and Pfaff (15.8.1)
+    turns it into a u^-sigma/(k sigma-1) 2F1(sigma, 1; sigma+1-1/k; w) with
+    u = a_a + r^2 and w = r^2/u: every term t_j is positive, t_0 = 1,
+    t_{j+1} = t_j w (sigma+j)/(sigma+1-1/k+j), and the terms from t_J on
+    add at most t_J/(1-q), q = w max(1, (sigma+J)/(sigma+1-1/k+J)).  The
+    bound also charges the rounding of u, w and each ratio, and of sigma
+    (_sigma_err) through u^-sigma (|log u|), the ratios and k sigma - 1,
+    whose relative error is amplified by 1/(k sigma - 1) near the cliff.
+    """
+    k = seq.exponent
+    d = k * sigma - 1.0
+    if not d > 0.0:  # alpha+beta just above 1 + 1/k can round to k sigma = 1
+        raise DivergenceError(f"power tail diverges: k*sigma = {k * sigma:g} <= 1")
+    dsig = _sigma_err(sigma)
+    u = seq.value(float(a)) + r2
+    w = r2 / u
+    c = sigma + 1.0 - 1.0 / k
+    terms = []
+    t, q, j = 1.0, 0.0, 0
+    while j < 200:
+        terms.append(t)
+        ratio = (sigma + j) / (c + j)
+        t *= w * ratio
+        j += 1
+        q = w * max(1.0, (sigma + j) / (c + j))
+        if t <= 0.25 * _EPS * (1.0 - q):  # t_0 = 1 <= the sum
+            break
+    total = math.fsum(terms)
+    trunc = t / (1.0 - q) if q < 1.0 else math.inf
+    # term j carries j ratio steps, each ~12 eps (w, sigma+j, c+j, products)
+    # plus the shift of (sigma+j)/(c+j) under a sigma moved by dsig
+    step = 12.0 * _EPS + dsig * (1.0 + 1.0 / sigma)
+    rnd = math.fsum(j * step * t_j for j, t_j in enumerate(terms)) + _EPS * total
+    scale = a * u ** (-sigma) / d
+    # relative error of the scale: u (4.5 eps, raised to sigma), the power
+    # at a rounded exponent, k sigma - 1, and the products
+    scale_rel = (4.5 * sigma + 4.0) * _EPS + abs(math.log(u)) * dsig \
+        + (k * dsig + 0.5 * _EPS * k * sigma) / d
+    return scale * total, scale * (trunc + rnd + scale_rel * (total + trunc + rnd))
+
+
+def _em_integer_tail(seq: SequenceSpec, r2: float, sigma: float,
+                     a: int) -> tuple[float, float, int]:
+    # sum_{n=a}^inf f(n), f(y) = (a(y) + r^2)^-sigma:
     # integral + f(a)/2 - f'(a)/12 + f'''(a)/720 - f^(5)(a)/30240,
-    # remainder of order f^(7)
-    integral = integrate_to_infinity(f, float(a), policy)
+    # remainder of order f^(7); the integral is closed form (_power_integral),
+    # the derivatives are finite differences (15 evaluations of f)
+    f = lambda y: (seq.value(y) + r2) ** (-sigma)
+    integral, i_err = _power_integral(seq, r2, a, sigma)
     fa = f(float(a))
     # step sizes balance FD truncation (h^4 f^(5), h^2 f^(5), h^2 f^(7))
     # against roundoff in the divided differences
     d1 = _fd1(f, float(a), h=0.1)
     d3 = _fd3(f, float(a), h=0.05)
     d5 = _fd5(f, float(a), h=0.5)
-    value = integral.value + 0.5 * fa - d1 / 12.0 + d3 / 720.0 - d5 / 30240.0
+    value = integral + 0.5 * fa - d1 / 12.0 + d3 / 720.0 - d5 / 30240.0
     decay = abs(d1) * a / abs(fa) if fa != 0.0 else 1.0
     rem = 3.0 * abs(d5) * ((decay + 6.0) / a) ** 2 / 1209600.0
     fd_trunc = 1.5e-6 * abs(d5)  # h^4/360 and h^2/2880 stencil truncation
-    bound = integral.abs_err_est + rem + fd_trunc + 2e-16 * abs(fa)
-    return value, bound, integral.n_evals + 15
+    # the correction terms at a rounded sigma: |log u| per unit of sigma
+    sig_shift = abs(math.log(seq.value(float(a)) + r2)) * _sigma_err(sigma)
+    bound = i_err + rem + fd_trunc + (2e-16 + sig_shift) * abs(fa)
+    return value, bound, 15
 
 
 def _euler_transform_tail(f: Callable[[float], float], a: int,
@@ -406,7 +466,7 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
             t_m, b_m = _euler_transform_tail(psi, a_start)
             sign = 1.0 if a_start % 2 == 1 else -1.0
             return sign * t_m, b_m, psi(float(a_start))
-        t_m, b_m, _ = _em_integer_tail(psi, a_start, inner)
+        t_m, b_m, _ = _em_integer_tail(seq, r2, lam + eta + m, a_start)
         return t_m, b_m, abs(t_m)
 
     attempts = 0
@@ -453,12 +513,15 @@ def mathieu_alternating_direct(params: MathieuParams, policy: QuadPolicy = DEFAU
 
 def _check_weighted_convergence(alpha: float, beta_: float, seq: SequenceSpec,
                                 alternating: bool) -> None:
+    # the parity weight keeps about half of every panel, so the alternating
+    # integral converges only where the plain power integral does
     k = seq.exponent
     if alternating:
-        if k * (alpha + beta_) <= 1.0:
+        if alpha + beta_ <= 1.0 or k * (alpha + beta_) <= 1.0:
             raise DivergenceError(
-                f"alternating weighted integral diverges: k*(alpha+beta) = "
-                f"{k * (alpha + beta_):g} <= 1")
+                f"alternating weighted integral diverges: alpha+beta = "
+                f"{alpha + beta_:g}, k*(alpha+beta) = {k * (alpha + beta_):g}; "
+                f"both must exceed 1")
     elif alpha + beta_ <= 1.0 + 1.0 / k:
         raise DivergenceError(
             f"weighted integral diverges: alpha+beta = {alpha + beta_:g} "
@@ -492,11 +555,16 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
             sign_a = 1.0 if a_start % 2 == 0 else -1.0
             v_a = v_m(float(a_start))
             return 0.5 * v_a - 0.5 * sign_a * et, 0.5 * et_bound, abs(v_a)
-        # Abel summation: sum_{N>=A} N (v_N - v_{N+1}) = A v_A + sum_{N>=A+1} v_N
-        em, em_bound, em_work = _em_integer_tail(v_m, a_start + 1, inner)
+        # Abel summation: sum_{N>=A} N (v_N - v_{N+1}) = A v_A + sum_{N>=A+1} v_N,
+        # v = (a + r^2)^-sigma / sigma with sigma = s0+m-1
+        sigma = s0 + m - 1.0
+        em, em_bound, em_work = _em_integer_tail(seq, r2, sigma, a_start + 1)
         n_work += em_work
-        s_val = a_start * v_m(float(a_start)) + em
-        return s_val, em_bound, abs(s_val)
+        u_a = seq.value(float(a_start)) + r2
+        s_val = (a_start * u_a ** (-sigma) + em) / sigma
+        # 1/sigma and u_a^-sigma at a rounded sigma
+        sig_shift = (1.0 / sigma + abs(math.log(u_a))) * _sigma_err(sigma)
+        return s_val, em_bound / sigma + sig_shift * abs(s_val), abs(s_val)
 
     attempts = 0
     computed_until = first

@@ -4,14 +4,14 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqmathieu.classical import gauss_2f1_raw
 from pqmathieu.errors import DivergenceError, DomainError
 from pqmathieu.extended import PQParams, extended_gauss_integral
 from pqmathieu.mathieu import (MathieuParams, SequenceSpec, _KernelCoeffs, _orders, _panel,
-                               alternating_counting_value, bound_mathieu_alt_rhs,
+                               _power_integral, alternating_counting_value, bound_mathieu_alt_rhs,
                                bound_mathieu_rhs, cahen_integral, closed_tail_2f1,
                                counting_value, mathieu_alt_via_integral,
                                mathieu_alternating_direct, mathieu_direct,
@@ -187,6 +187,15 @@ def test_cahen_divergence_guards():
         u_integral(SEQ_N, 1.0, 0.9, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.45, 0.5])
+def test_cahen_alternating_needs_alpha_beta_above_one(alpha):
+    # with a_n = n^2, k*(alpha+beta) > 1 holds at alpha+beta = 0.9 and 1, but
+    # the odd panels of x^-(alpha+beta) still sum to infinity there
+    params = MathieuParams(0.5, 0.5, 0.5, 1.0, 2.0, PQ0, SEQ_N2)
+    with pytest.raises(DivergenceError):
+        cahen_integral(alpha, alpha, params, True)
+
+
 def test_u_integral_oracle():
     res = u_integral(SEQ_N, 2.0, 2.0, 1.0)
     assert res.converged
@@ -213,6 +222,7 @@ def _u_reference(alpha, beta, r2):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.01, 1.0), st.sampled_from((-1.0, 0.0, 1.0)),
        st.floats(2.0, 5.0, exclude_min=True), st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+@example(0.30337202975855787, 0.0, 2.0078125, 1.0)  # needs the rounding of alpha+beta
 def test_u_integral_error_covers_hurwitz_reference(lam, shift, s0, r2):
     # alpha = lam-1 makes every kappa_m with m >= 1 negative; r^2 = a_1 puts
     # the first panel at expansion ratio 1/2
@@ -223,6 +233,47 @@ def test_u_integral_error_covers_hurwitz_reference(lam, shift, s0, r2):
     res = u_integral(SEQ_N, alpha, beta, r)
     if res.converged:
         assert abs(res.value - _u_reference(alpha, beta, r * r)) <= res.err_est
+
+
+def test_u_integral_at_the_convergence_cliff():
+    # alpha+beta = 2.005, just above 1 + 1/k: the tail integrals decay like
+    # y^-0.005, which a quadrature sweep cannot close (it stopped 2.9% low)
+    res = u_integral(SEQ_N, -0.3, 2.305, 0.6)
+    assert res.converged
+    assert abs(res.value - _u_reference(-0.3, 2.305, 0.6 * 0.6)) <= res.err_est
+    assert res.n_work < 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)), st.floats(1e-4, 30.0),
+       st.floats(-1.0, 3.0), st.floats(0.0, 1.0 / 9.0, exclude_min=True),
+       st.sampled_from((1, 34, 1000)), st.sampled_from((1.0, 0.3, 2.0)))
+@example(1.0, 0.0078125, 0.30337202975855787, 1.0 / 35.0, 34, 1.0)
+def test_power_integral_against_hyp2f1(k, d, alpha, w, a, scale):
+    # sigma is rounded from alpha+beta-1 as in the integral route; the
+    # reference is the Euler integral (a/k) x^-sigma/(sigma-1/k)
+    # 2F1(sigma, sigma-1/k; sigma-1/k+1; -r^2/x), x = scale a^k, at the exact
+    # sigma, independent of the Pfaff form the code sums
+    beta = 1.0 + (1.0 + d) / k - alpha
+    sigma = alpha + beta - 1.0
+    seq = SequenceSpec.power(scale, k)
+    r2 = seq.value(float(a)) * w / (1.0 - w)
+    value, err = _power_integral(seq, r2, a, sigma)
+    with mp.workdps(40):
+        sig = mp.mpf(alpha) + mp.mpf(beta) - 1
+        x = mp.mpf(scale) * mp.mpf(a) ** mp.mpf(k)
+        c = sig - 1 / mp.mpf(k)
+        ref = a / mp.mpf(k) * x ** -sig / c * mp.hyp2f1(sig, c, c + 1, -mp.mpf(r2) / x)
+        assert abs(value - ref) <= err
+
+
+def test_power_integral_needs_k_sigma_above_one():
+    # alpha+beta one ulp above 1 + 1/k passes the weighted-integral guard,
+    # but sigma = alpha+beta-1 rounds to k*sigma = 1 at k = 0.75
+    seq = SequenceSpec.power(1.0, 0.75)
+    beta = math.nextafter(1.0 + 1.0 / 0.75, math.inf) - 2.0
+    with pytest.raises(DivergenceError):
+        u_integral(seq, 2.0, beta, 0.5)
 
 
 def _u_panel(alpha, s0, r2, lo, hi):
