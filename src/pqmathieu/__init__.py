@@ -13,7 +13,7 @@ from .errors import DivergenceError, DomainError, IntegrandError
 from .extended import (PQParams, envelope_factor, extended_beta, extended_beta_table,
                        extended_gauss_integral, extended_gauss_series, extended_kummer,
                        gauss_bound_rhs, kummer_coefficient_table, kummer_series_value)
-from .mathieu import (MathieuParams, SequenceSpec, SeriesResult, alternating_counting_value,
+from .mathieu import (MathieuParams, SequenceSpec, alternating_counting_value,
                       bound_mathieu_alt_rhs, bound_mathieu_rhs, cahen_integral,
                       closed_tail_2f1, counting_value, mathieu_alt_via_integral,
                       mathieu_alternating_direct, mathieu_direct, mathieu_via_integral,
@@ -36,7 +36,6 @@ __all__ = [
     "PQParams",
     "QuadPolicy",
     "SequenceSpec",
-    "SeriesResult",
     "alternating_counting_value",
     "beta",
     "bound_mathieu_alt_rhs",

@@ -145,10 +145,10 @@ def _evaluate(target: str, method: str | None, vals: dict, policy: QuadPolicy) -
         m = method or "direct"
         if m in ("direct", "both"):
             res = (mathieu_alternating_direct if alt else mathieu_direct)(params, policy)
-            rec("direct", res.value, res.tail_bound, res.n_terms, res.converged)
+            rec("direct", res.value, res.err_est, res.n_work, res.converged)
         if m in ("integral", "both"):
             res = (mathieu_alt_via_integral if alt else mathieu_via_integral)(params, policy)
-            rec("integral", res.value, res.tail_bound, res.n_terms, res.converged)
+            rec("integral", res.value, res.err_est, res.n_work, res.converged)
     elif target == "u-integral":
         res = u_integral(_sequence(vals), vals["lam"], vals["eta"], vals["r"], policy)
         rec("integral", res.value, res.err_est, res.n_work, res.converged)

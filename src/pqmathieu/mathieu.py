@@ -21,15 +21,16 @@ through the Pfaff-type transformation
 whose ratio r^2/(x+r^2) stays at or below 1/2 on the whole integration range
 when r^2 <= a_1 (MathieuParams requires it), so the expansion converges
 uniformly.  Its powers integrate in closed form, so every panel of the
-integral representation is an exact sum over orders, with no quadrature; the
-power tails beyond the panels close by Euler-Maclaurin corrections, whose
-integral term is closed form too (a 2F1 series in the ratio, all terms
-positive), or by an Euler transformation for alternating sums.  The
-counting-weight power integrals of the bounds are the constant kernel
+integral representation is an exact sum over orders, with no quadrature.
+Every power tail beyond the head terms or panels, plain or alternating, is a
+Hurwitz zeta sum and comes from one primitive (_hurwitz_zeta: Euler-Maclaurin
+with a provable remainder), its exponent carried as an exact pair such as
+lam+eta+m, so that t - 1 keeps its digits as the tails approach divergence.
+The counting-weight power integrals of the bounds are the constant kernel
 1 = 2F1(s, 0; c; z), kappa_m = (s)_m/m!, on the same path; u_integral also
 accepts r^2 > a_1 and integrates the few panels left of r^2 by quadrature.
-All remainders, including the omitted expansion orders and the rounding of
-the tail exponents, are tracked and reported in tail_bound / err_est.
+All remainders, including the omitted expansion orders and the rounding,
+are tracked and reported in err_est.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .results import EvalResult
 __all__ = [
     "SequenceSpec",
     "MathieuParams",
-    "SeriesResult",
     "counting_value",
     "alternating_counting_value",
     "mathieu_direct",
@@ -100,15 +100,6 @@ class SequenceSpec:
         if s == 1.0:
             return "n" if k == 1.0 else f"n^{k:g}"
         return f"{s:g}*n" if k == 1.0 else f"{s:g}*n^{k:g}"
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    value: float
-    tail_bound: float
-    n_terms: int
-    method: str  # direct | integral_representation | bound_rhs
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -219,114 +210,131 @@ class _KernelCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# tail helpers
+# power tails
+
+# B_2j/(2j)! for j = 1..13 (DLMF 24.2.1)
+_BERNOULLI = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+     43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730, 8553103 / 6), 1))
 
 
-def _fd1(f: Callable[[float], float], y: float, h: float = 0.5) -> float:
-    return (f(y - 2 * h) - 8.0 * f(y - h) + 8.0 * f(y + h) - f(y + 2 * h)) / (12.0 * h)
+def _plus(x: tuple[float, float], y: float) -> tuple[float, float]:
+    # (hi, lo) + y as an unevaluated pair, exact up to the rounding of the
+    # low parts (TwoSum, Knuth TAOCP 4.2.2): the tail exponents lam+eta+m and
+    # alpha+beta+m-1 travel this way, so t - 1 keeps its digits as t -> 1+
+    s = x[0] + y
+    v = s - x[0]
+    return s, x[1] + ((x[0] - (s - v)) + (y - v))
 
 
-def _fd3(f: Callable[[float], float], y: float, h: float = 0.5) -> float:
-    return (-f(y - 2 * h) + 2.0 * f(y - h) - 2.0 * f(y + h) + f(y + 2 * h)) / (2.0 * h ** 3)
+def _hurwitz_zeta(t: tuple[float, float], a: float) -> tuple[float, float, int]:
+    """zeta(t, a) - a^(1-t)/(t-1): the Hurwitz zeta sum_{n>=0} (n+a)^-t less
+    its integral from a (the limit of their difference when t <= 1), at
+    t = hi+lo > 0 and a >= 1, with an error bound and the terms summed.
 
-
-def _fd5(f: Callable[[float], float], y: float, h: float = 0.5) -> float:
-    return (-f(y - 3 * h) + 4.0 * f(y - 2 * h) - 5.0 * f(y - h)
-            + 5.0 * f(y + h) - 4.0 * f(y + 2 * h) + f(y + 3 * h)) / (2.0 * h ** 5)
-
-
-def _sigma_err(sigma: float) -> float:
-    # the tail exponents are the rounded sums lam+eta+m (two roundings, each
-    # at most eps/2 of a partial sum <= sigma) or alpha+beta+m-1 (three, of
-    # partial sums <= sigma+1), so they lie within 1.5 eps (sigma+1) of the
-    # exact exponent
-    return 1.5 * _EPS * (abs(sigma) + 1.0)
-
-
-def _power_integral(seq: SequenceSpec, r2: float, a: int,
-                    sigma: float) -> tuple[float, float]:
-    """Closed form of the integral over (a, inf) of (s y^k + r^2)^-sigma dy,
-    k sigma > 1, with its error bound.
-
-    y = a t^(-1/k) gives an Euler integral (DLMF 15.6.1) and Pfaff (15.8.1)
-    turns it into a u^-sigma/(k sigma-1) 2F1(sigma, 1; sigma+1-1/k; w) with
-    u = a_a + r^2 and w = r^2/u: every term t_j is positive, t_0 = 1,
-    t_{j+1} = t_j w (sigma+j)/(sigma+1-1/k+j), and the terms from t_J on
-    add at most t_J/(1-q), q = w max(1, (sigma+J)/(sigma+1-1/k+J)).  The
-    bound also charges the rounding of u, w and each ratio, and of sigma
-    (_sigma_err) through u^-sigma (|log u|), the ratios and k sigma - 1,
-    whose relative error is amplified by 1/(k sigma - 1) near the cliff.
+    Euler-Maclaurin at x = a+N: N direct terms less the integral over (a, x),
+    then x^-t/2 + sum_j B_2j/(2j)! (t)_(2j-1) x^(1-t-2j).  x^-t is completely
+    monotone, so the remainder is at most the first omitted term (DLMF
+    2.10.iii); N puts x past (t+26)/(pi/2), where each term is below 1/16 of
+    the one before it and the 13 of the table reach eps (Johansson,
+    arXiv:1309.2877).  Without its pole the value has no 1/(t-1) for a
+    difference to cancel.  The bound charges the rounding, the lo dropped
+    from the powers, and a relative error of up to 2 eps in a (which moves
+    the value by about 2t eps); values below 1e-300 are not covered.
     """
-    k = seq.exponent
-    d = k * sigma - 1.0
-    if not d > 0.0:  # alpha+beta just above 1 + 1/k can round to k sigma = 1
-        raise DivergenceError(f"power tail diverges: k*sigma = {k * sigma:g} <= 1")
-    dsig = _sigma_err(sigma)
-    u = seq.value(float(a)) + r2
-    w = r2 / u
-    c = sigma + 1.0 - 1.0 / k
-    terms = []
-    t, q, j = 1.0, 0.0, 0
-    while j < 200:
-        terms.append(t)
-        ratio = (sigma + j) / (c + j)
-        t *= w * ratio
-        j += 1
-        q = w * max(1.0, (sigma + j) / (c + j))
-        if t <= 0.25 * _EPS * (1.0 - q):  # t_0 = 1 <= the sum
+    hi, lo = t
+    e = (hi - 1.0) + lo
+    n_direct = max(0, math.ceil((hi + 26.0) / (0.5 * math.pi) - a))
+    x = a + n_direct
+    direct = math.fsum((a + n) ** -hi for n in range(n_direct))
+    # minus the integral of y^-t over (a, x)
+    big_l = math.log1p(n_direct / a)
+    span = a ** -e * (math.expm1(-e * big_l) / e if e else -big_l) if n_direct else 0.0
+    p = x ** -hi
+    parts = [direct, span, 0.5 * p]
+    term, x2, rnd = hi * p / x, x * x, 0.0
+    for j, b in enumerate(_BERNOULLI):
+        omitted = abs(b * term)
+        if omitted <= 0.25 * _EPS * p or j == len(_BERNOULLI) - 1:
             break
-    total = math.fsum(terms)
-    trunc = t / (1.0 - q) if q < 1.0 else math.inf
-    # term j carries j ratio steps, each ~12 eps (w, sigma+j, c+j, products)
-    # plus the shift of (sigma+j)/(c+j) under a sigma moved by dsig
-    step = 12.0 * _EPS + dsig * (1.0 + 1.0 / sigma)
-    rnd = math.fsum(j * step * t_j for j, t_j in enumerate(terms)) + _EPS * total
-    scale = a * u ** (-sigma) / d
-    # relative error of the scale: u (4.5 eps, raised to sigma), the power
-    # at a rounded exponent, k sigma - 1, and the products
-    scale_rel = (4.5 * sigma + 4.0) * _EPS + abs(math.log(u)) * dsig \
-        + (k * dsig + 0.5 * _EPS * k * sigma) / d
-    return scale * total, scale * (trunc + rnd + scale_rel * (total + trunc + rnd))
+        parts.append(b * term)
+        rnd += (4.0 * j + 8.0) * omitted
+        term *= (hi + 2 * j + 1) * (hi + 2 * j + 2) / x2
+    mass = direct - span + 0.5 * p
+    rel = (2.5 * hi + 6.0) * _EPS + abs(lo) * math.log(x)
+    return math.fsum(parts), omitted + rel * mass + _EPS * rnd, n_direct + len(parts) - 2
 
 
-def _em_integer_tail(seq: SequenceSpec, r2: float, sigma: float,
-                     a: int) -> tuple[float, float, int]:
-    # sum_{n=a}^inf f(n), f(y) = (a(y) + r^2)^-sigma:
-    # integral + f(a)/2 - f'(a)/12 + f'''(a)/720 - f^(5)(a)/30240,
-    # remainder of order f^(7); the integral is closed form (_power_integral),
-    # the derivatives are finite differences (15 evaluations of f)
-    f = lambda y: (seq.value(y) + r2) ** (-sigma)
-    integral, i_err = _power_integral(seq, r2, a, sigma)
-    fa = f(float(a))
-    # step sizes balance FD truncation (h^4 f^(5), h^2 f^(5), h^2 f^(7))
-    # against roundoff in the divided differences
-    d1 = _fd1(f, float(a), h=0.1)
-    d3 = _fd3(f, float(a), h=0.05)
-    d5 = _fd5(f, float(a), h=0.5)
-    value = integral + 0.5 * fa - d1 / 12.0 + d3 / 720.0 - d5 / 30240.0
-    decay = abs(d1) * a / abs(fa) if fa != 0.0 else 1.0
-    rem = 3.0 * abs(d5) * ((decay + 6.0) / a) ** 2 / 1209600.0
-    fd_trunc = 1.5e-6 * abs(d5)  # h^4/360 and h^2/2880 stencil truncation
-    # the correction terms at a rounded sigma: |log u| per unit of sigma
-    sig_shift = abs(math.log(seq.value(float(a)) + r2)) * _sigma_err(sigma)
-    bound = i_err + rem + fd_trunc + (2e-16 + sig_shift) * abs(fa)
-    return value, bound, 15
+class _PowerSums:
+    """Order tails sum_{n>=a} (+-1)^(n+1) (s n^k + r^2)^-(s0+m), plain or
+    alternating, with error bounds and the majorants _power_tail takes; s0
+    is an exponent pair (_plus), work counts the terms the zetas summed.
 
+    k = 1: s^-sigma zeta(sigma, a + r^2/s), sigma = s0+m.  Otherwise the
+    binomial series sum_j (-1)^j (sigma)_j/j! (r^2/s)^j s^-sigma Z(k(sigma+j)),
+    Z(t) = sum_{n>=a} (+-1)^(n+1) n^-t, in r^2/a_a <= 1/8 (_series_tail_start)
+    and cut as in _orders; Z depends on l = m+j only, so each exponent costs
+    one zeta.  Alternating Z are +-2^-t [zeta(t, b/2) - zeta(t, (b+1)/2)].
+    """
 
-def _euler_transform_tail(f: Callable[[float], float], a: int,
-                          n_diffs: int = 18) -> tuple[float, float]:
-    # sum_{n=a}^inf (-1)^(n-a) f(n) by the Euler transformation on forward
-    # differences; for smooth power-law decay the transformed terms fall off
-    # like (decay_rate / (2a))^j
-    vals = [f(float(a + j)) for j in range(n_diffs + 1)]
-    scale = abs(vals[0])
-    terms = []
-    for j in range(n_diffs + 1):
-        terms.append((-1) ** j * vals[0] / 2.0 ** (j + 1))
-        vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    total = math.fsum(terms)
-    bound = 2.0 * abs(terms[-1]) + 16.0 * 2.2e-16 * scale
-    return total, bound
+    def __init__(self, seq: SequenceSpec, r2: float, s0: tuple[float, float], a: int,
+                 alternating: bool):
+        self.seq, self.r2, self.s0, self.a, self.alternating = seq, r2, s0, a, alternating
+        shifted = seq.exponent == 1.0
+        self.c = 0.0 if shifted else r2 / seq.scale
+        self.b = a + r2 / seq.scale if shifted else float(a)
+        self.w = 0.0 if shifted else r2 / seq.value(float(a))
+        self.work = 0
+        self._z: dict[int, tuple[float, float]] = {}
+
+    def _z_sum(self, l: int) -> tuple[float, float]:
+        # Z at t = k (s0+l), memoised; k (hi, lo) keeps the exact rounding
+        # error of k hi, from the integer ratios of the three doubles
+        hi, lo = _plus(self.s0, float(l))
+        k = self.seq.exponent
+        if k != 1.0:
+            (kn, kd), (hn, hd), (pn, pd) = (k.as_integer_ratio(), hi.as_integer_ratio(),
+                                            (k * hi).as_integer_ratio())
+            hi, lo = k * hi, (kn * hn * pd - pn * kd * hd) / (kd * hd * pd) + k * lo
+        e = (hi - 1.0) + lo
+        if not (e > 0.0 or self.alternating):
+            raise DivergenceError(f"power tail diverges: exponent {hi:.17g} {lo:+.3g} <= 1")
+        y = 0.5 * self.b if self.alternating else self.b
+        z, z_err, n = _hurwitz_zeta((hi, lo), y)
+        if self.alternating:
+            z2, z2_err, n2 = _hurwitz_zeta((hi, lo), y + 0.5)
+            z, z_err, n = z - z2, z_err + z2_err, n + n2
+        # the poles: the integral of x^-t over (y, inf), or over (y, y + 1/2)
+        # for the alternating difference
+        big_l = math.log1p(0.5 / y) if self.alternating else math.inf
+        lead = -y ** -e * (math.expm1(-e * big_l) / e if e else -big_l)
+        h = (1.0 if self.a % 2 else -1.0) * 2.0 ** -hi if self.alternating else 1.0
+        z = h * (z + lead)
+        lead_err = (hi * (abs(math.log(y)) + 2.5) + 8.0) * _EPS * lead
+        self._z[l] = z, abs(h) * (z_err + lead_err) + (2.0 * _EPS + abs(lo)) * abs(z)
+        self.work += n
+        return self._z[l]
+
+    def __call__(self, m: int) -> tuple[float, float, float]:
+        sig, lo = _plus(self.s0, float(m))
+        a = self.a
+        n_j, omit = _orders(sig, self.w, 0.25 * _EPS) if self.c else (1, 0.0)
+        # s^-sigma drops lo; each step of the coefficient rounds about 3 times
+        coef, rnd = self.seq.scale ** -sig, abs(lo * math.log(self.seq.scale))
+        terms, err = [], 0.0
+        for j in range(n_j):
+            z, z_err = self._z.get(m + j) or self._z_sum(m + j)
+            terms.append(coef * z)
+            err += abs(coef) * z_err + ((3.0 * j + 4.0) * _EPS + rnd) * abs(terms[-1])
+            coef *= -self.c * (sig + j) / (j + 1.0)
+        # the omitted binomial terms are below the first of them over 1-q at
+        # every n; summed over n >= a, they stay below a^-t (1 + a/(t-1)),
+        # or a^-t when they alternate and decrease, as the tail itself does
+        t = self.seq.exponent * (sig + n_j)
+        omitted = omit * abs(coef) * a ** -t * (1.0 if self.alternating else 1.0 + a / (t - 1.0))
+        total = math.fsum(terms)
+        major = (self.seq.value(float(a)) + self.r2) ** -sig if self.alternating else abs(total)
+        return total, err + omitted + 0.5 * _EPS * abs(total), major
 
 
 def _series_tail_start(seq: SequenceSpec, r2: float) -> int:
@@ -435,7 +443,7 @@ def _check_series_convergence(params: MathieuParams) -> None:
 
 
 def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool,
-                    kind: str) -> SeriesResult:
+                    kind: str) -> EvalResult:
     _check_series_convergence(params)
     seq = params.seq
     lam, eta, r2 = params.lam, params.eta, params.r ** 2
@@ -458,33 +466,23 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
     coeffs = _KernelCoeffs(lam, params.b, params.c, params.pq, inner, kind)
     a_start = _series_tail_start(seq, r2)
 
-    def order_tail(m: int) -> tuple[float, float, float]:
-        psi = lambda y, s=lam + eta + m: (seq.value(y) + r2) ** (-s)
-        if alternating:
-            # kappa_j > 0 (alpha = lam > 0), so the omitted orders sum a
-            # positive decreasing sequence and stay below its first term
-            t_m, b_m = _euler_transform_tail(psi, a_start)
-            sign = 1.0 if a_start % 2 == 1 else -1.0
-            return sign * t_m, b_m, psi(float(a_start))
-        t_m, b_m, _ = _em_integer_tail(seq, r2, lam + eta + m, a_start)
-        return t_m, b_m, abs(t_m)
-
+    s0 = _plus((lam, 0.0), eta)
     attempts = 0
     while True:
         extend_head(a_start)
-        tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), order_tail)
+        tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2),
+                                     _PowerSums(seq, r2, s0, a_start, alternating))
         tail_err += head_err
         value = math.fsum(head_terms) + tail
         tol = max(policy.abs_tol, policy.rel_tol * abs(value))
         if tail_err <= tol or attempts >= 3:
-            return SeriesResult(value, tail_err, len(head_terms), "direct",
-                                tail_err <= tol)
+            return EvalResult(value, tail_err, len(head_terms), tail_err <= tol)
         a_start *= 2
         attempts += 1
 
 
 def mathieu_direct(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
-                   kernel: str = "extended") -> SeriesResult:
+                   kernel: str = "extended") -> EvalResult:
     """Sum the Mathieu-type series directly.
 
     Terms up to an adaptive cutoff are evaluated through the kernel's Euler
@@ -497,12 +495,12 @@ def mathieu_direct(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
 
 
 def mathieu_alternating_direct(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
-                               kernel: str = "extended") -> SeriesResult:
+                               kernel: str = "extended") -> EvalResult:
     """Alternating variant of mathieu_direct.
 
-    The analytic tail uses the Euler transformation of the power terms; its
-    error is bounded by the last transformed difference, in the spirit of
-    the pairwise bracketing of the partial sums.
+    Each order of the analytic tail is an alternating Hurwitz-zeta sum,
+    2^-t [zeta(t, A/2) - zeta(t, (A+1)/2)], its poles cancelled in closed
+    form and its bound the two zeta bounds (_hurwitz_zeta).
     """
     return _mathieu_engine(params, policy, alternating=True, kind=kernel)
 
@@ -537,6 +535,7 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
     _check_weighted_convergence(alpha, beta_, seq, alternating)
     r2 = r * r
     s0 = alpha + beta_
+    s1 = _plus(_plus((alpha, 0.0), beta_), -1.0)  # alpha+beta-1, exactly
     inner = _inner_policy(policy)
     coeffs = _KernelCoeffs(alpha, b, c, pq, inner, kind, betas)
     n_work = head.n_work
@@ -544,27 +543,21 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
     a_start = _series_tail_start(seq, r2)
 
     def order_tail(m: int) -> tuple[float, float, float]:
-        # panel N of order m integrates to I_N = v(N) - v(N+1) >= 0
-        nonlocal n_work
-        v_m = lambda y, s=s0 + m: (seq.value(y) + r2) ** (1.0 - s) / (s - 1.0)
-        if alternating:
-            # sum_{N>=A} parity(N) I_N = v(A)/2 - (-1)^A ET(I)/2, with ET the
-            # Euler transformation; sum_{N>=A} I_N = v(A) majorises it
-            i_m = lambda y, v=v_m: v(y) - v(y + 1.0)
-            et, et_bound = _euler_transform_tail(i_m, a_start)
-            sign_a = 1.0 if a_start % 2 == 0 else -1.0
-            v_a = v_m(float(a_start))
-            return 0.5 * v_a - 0.5 * sign_a * et, 0.5 * et_bound, abs(v_a)
-        # Abel summation: sum_{N>=A} N (v_N - v_{N+1}) = A v_A + sum_{N>=A+1} v_N,
-        # v = (a + r^2)^-sigma / sigma with sigma = s0+m-1
-        sigma = s0 + m - 1.0
-        em, em_bound, em_work = _em_integer_tail(seq, r2, sigma, a_start + 1)
-        n_work += em_work
-        u_a = seq.value(float(a_start)) + r2
-        s_val = (a_start * u_a ** (-sigma) + em) / sigma
-        # 1/sigma and u_a^-sigma at a rounded sigma
-        sig_shift = (1.0 / sigma + abs(math.log(u_a))) * _sigma_err(sigma)
-        return s_val, em_bound / sigma + sig_shift * abs(s_val), abs(s_val)
+        # panel N of order m integrates to I_N = v_N - v_{N+1} >= 0, v_n =
+        # (a_n + r^2)^-sigma / sigma, sigma = s0+m-1 (1/sigma drops lo); the
+        # parity weight keeps the odd N >= A: sum_{n>=A|1} (-1)^(n+1) v_n
+        sigma, lo = _plus(s1, float(m))
+        t_m, b_m, major = sums(m)
+        if not alternating:
+            # Abel summation: sum_{N>=A} N I_N = (A-1) v_A + sum_{N>=A} v_N;
+            # v_A charges the rounding of a_A + r^2 and of its power
+            u_a = seq.value(float(a_start)) + r2
+            head_v = (a_start - 1) * u_a ** -sigma
+            t_m += head_v
+            b_m += ((2.0 * sigma + 3.0) * _EPS + abs(lo * math.log(u_a))) * head_v
+            major = abs(t_m)
+        value = t_m / sigma
+        return value, b_m / sigma + (_EPS + abs(lo / sigma)) * abs(value), major / sigma
 
     attempts = 0
     computed_until = first
@@ -580,7 +573,9 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
         computed_until = a_start
 
         # analytic tail over panels N >= a_start
+        sums = _PowerSums(seq, r2, s1, a_start | 1 if alternating else a_start, alternating)
         tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), order_tail)
+        n_work += sums.work
         value = math.fsum(head_parts) + tail
         total_err = err + tail_err
         tol = max(policy.abs_tol, policy.rel_tol * abs(value))
@@ -613,32 +608,37 @@ def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternatin
 
 
 def _representation(params: MathieuParams, policy: QuadPolicy, kernel: str,
-                    alternating: bool) -> SeriesResult:
+                    alternating: bool) -> EvalResult:
     # lam * I(lam+1, eta) + eta * I(lam, eta+1); the two kernel expansions
     # (alpha = lam+1 and alpha = lam) share one Beta column
+    lam, eta, k = params.lam, params.eta, params.seq.exponent
     betas = None
     if kernel == "extended":
         betas = _BetaColumn(params.c - params.b, params.b, params.pq.swapped(),
                             _inner_policy(policy))
-    i1 = cahen_integral(params.lam + 1.0, params.eta, params, alternating, policy, kernel,
-                        betas=betas)
-    i2 = cahen_integral(params.lam, params.eta + 1.0, params, alternating, policy, kernel,
-                        betas=betas)
-    value = params.lam * i1.value + params.eta * i2.value
-    bound = params.lam * i1.err_est + params.eta * i2.err_est
-    return SeriesResult(value, bound, i1.n_work + i2.n_work, "integral_representation",
-                        i1.converged and i2.converged)
+    lam1, d1 = _plus((lam, 0.0), 1.0)
+    eta1, d2 = _plus((eta, 0.0), 1.0)
+    i1 = cahen_integral(lam1, eta, params, alternating, policy, kernel, betas=betas)
+    i2 = cahen_integral(lam, eta1, params, alternating, policy, kernel, betas=betas)
+    # lam+1 and eta+1 arrive rounded by d1, d2: an exponent moved by d moves I
+    # by |d| times the mean of |log x| + 1 under the integrand, at most
+    # |log a_1| + 2k/(k(lam+eta)-1) (twice that of the bare power x^(1/k-s0))
+    shift = 1.0 + abs(math.log(params.seq.a1)) + 2.0 * k / max(k * (lam + eta) - 1.0, _EPS)
+    value = lam * i1.value + eta * i2.value
+    bound = lam * (i1.err_est + abs(d1) * shift * abs(i1.value)) \
+        + eta * (i2.err_est + abs(d2) * shift * abs(i2.value))
+    return EvalResult(value, bound, i1.n_work + i2.n_work, i1.converged and i2.converged)
 
 
 def mathieu_via_integral(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
-                         kernel: str = "extended") -> SeriesResult:
+                         kernel: str = "extended") -> EvalResult:
     """Series value through its closed integral representation:
     lam * I(lam+1, eta) + eta * I(lam, eta+1) with the counting weight."""
     return _representation(params, policy, kernel, alternating=False)
 
 
 def mathieu_alt_via_integral(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
-                             kernel: str = "extended") -> SeriesResult:
+                             kernel: str = "extended") -> EvalResult:
     """Alternating series through its integral representation (parity weight)."""
     return _representation(params, policy, kernel, alternating=True)
 

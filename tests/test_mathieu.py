@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pqmathieu.classical import gauss_2f1_raw
 from pqmathieu.errors import DivergenceError, DomainError
 from pqmathieu.extended import PQParams, extended_gauss_integral
-from pqmathieu.mathieu import (MathieuParams, SequenceSpec, _KernelCoeffs, _orders, _panel,
-                               _power_integral, alternating_counting_value, bound_mathieu_alt_rhs,
+from pqmathieu.mathieu import (MathieuParams, SequenceSpec, _hurwitz_zeta, _KernelCoeffs, _orders,
+                               _panel, _plus, alternating_counting_value, bound_mathieu_alt_rhs,
                                bound_mathieu_rhs, cahen_integral, closed_tail_2f1,
                                counting_value, mathieu_alt_via_integral,
                                mathieu_alternating_direct, mathieu_direct,
@@ -163,6 +163,56 @@ def test_cahen_count_oracle():
     assert classical.value == pytest.approx(res.value, rel=1e-9)
 
 
+def _alt_reference(lam, eta, r2, b, c, k):
+    # sum_{n>=1} (-1)^(n-1) 2F1(lam, b; c; -r^2/a_n) / (a_n^lam (a_n+r^2)^eta),
+    # a_n = n^k, at 40 digits: terms n < 12 directly; beyond, the Pfaff
+    # expansion sum_m (lam)_m/m! (c-b)_m/(c)_m r^(2m) (a_n+r^2)^-(lam+eta+m)
+    # and the binomial series of (n^k+r^2)^-s in r^2/n^k turn every order
+    # into alternating Hurwitz sums -2^-t [zeta(t, 6) - zeta(t, 6.5)] over
+    # n >= 12, t = k(lam+eta+l)
+    with mp.workdps(40):
+        lam, eta, r2, b, c, k = (mp.mpf(v) for v in (lam, eta, r2, b, c, k))
+        head = mp.fsum((-1) ** (n - 1) * mp.hyp2f1(lam, b, c, -r2 / n ** k)
+                       / (n ** (k * lam) * (n ** k + r2) ** eta) for n in range(1, 12))
+        zetas = {}
+
+        def z(l):
+            if l not in zetas:
+                t = k * (lam + eta + l)
+                zetas[l] = -2 ** -t * (mp.zeta(t, 6) - mp.zeta(t, mp.mpf(6.5)))
+            return zetas[l]
+
+        tail, kappa, m, small = mp.mpf(0), mp.mpf(1), 0, mp.mpf(10) ** -45
+        while True:
+            inner, coef, j = mp.mpf(0), mp.mpf(1), 0
+            while True:
+                term = coef * z(m + j)
+                inner += term
+                if j > 3 and abs(term) < small:
+                    break
+                coef *= -(lam + eta + m + j) / (j + 1) * r2
+                j += 1
+            term = kappa * r2 ** m * inner
+            tail += term
+            if m > 3 and abs(term) < small:
+                return head + tail
+            kappa *= (lam + m) / (m + 1) * (c - b + m) / (c + m)
+            m += 1
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0])
+def test_alternating_tails_within_error(k):
+    # each alternating tail is a difference of two Hurwitz zetas, poles
+    # cancelled in closed form; once heuristic (the last Euler-transformed
+    # difference), the stated bound of both routes must cover the reference
+    params = MathieuParams(0.7, 0.9, 0.8, 0.6, 1.7, PQ0, SequenceSpec.power(1.0, k))
+    ref = _alt_reference(0.7, 0.9, 0.8 * 0.8, 0.6, 1.7, k)
+    for route in (mathieu_alternating_direct, mathieu_alt_via_integral):
+        res = route(params)
+        assert res.converged
+        assert abs(res.value - ref) <= res.err_est
+
+
 def test_cahen_alternating_skips_even_panels():
     # the parity weight vanishes identically on [a_n, a_{n+1}) for even n,
     # so those panels contribute exactly nothing
@@ -235,45 +285,57 @@ def test_u_integral_error_covers_hurwitz_reference(lam, shift, s0, r2):
         assert abs(res.value - _u_reference(alpha, beta, r * r)) <= res.err_est
 
 
-def test_u_integral_at_the_convergence_cliff():
-    # alpha+beta = 2.005, just above 1 + 1/k: the tail integrals decay like
-    # y^-0.005, which a quadrature sweep cannot close (it stopped 2.9% low)
-    res = u_integral(SEQ_N, -0.3, 2.305, 0.6)
+@pytest.mark.parametrize("alpha,beta", [(-0.3, 2.305), (1.0, 1.0001), (0.5, 1.5005),
+                                        (-0.3, 2.3002)])
+def test_u_integral_at_the_convergence_cliff(alpha, beta):
+    # alpha+beta just above 1 + 1/k = 2: the tails decay like y^-(alpha+beta-2),
+    # which a quadrature sweep cannot close (it stopped 2.9% low at 2.005), and
+    # 1/(alpha+beta-2) amplifies a rounded exponent 1e4-fold at 2.0001
+    res = u_integral(SEQ_N, alpha, beta, 0.6)
     assert res.converged
-    assert abs(res.value - _u_reference(-0.3, 2.305, 0.6 * 0.6)) <= res.err_est
+    assert abs(res.value - _u_reference(alpha, beta, 0.6 * 0.6)) <= res.err_est
     assert res.n_work < 1000
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)), st.floats(1e-4, 30.0),
-       st.floats(-1.0, 3.0), st.floats(0.0, 1.0 / 9.0, exclude_min=True),
-       st.sampled_from((1, 34, 1000)), st.sampled_from((1.0, 0.3, 2.0)))
-@example(1.0, 0.0078125, 0.30337202975855787, 1.0 / 35.0, 34, 1.0)
-def test_power_integral_against_hyp2f1(k, d, alpha, w, a, scale):
-    # sigma is rounded from alpha+beta-1 as in the integral route; the
-    # reference is the Euler integral (a/k) x^-sigma/(sigma-1/k)
-    # 2F1(sigma, sigma-1/k; sigma-1/k+1; -r^2/x), x = scale a^k, at the exact
-    # sigma, independent of the Pfaff form the code sums
-    beta = 1.0 + (1.0 + d) / k - alpha
-    sigma = alpha + beta - 1.0
-    seq = SequenceSpec.power(scale, k)
-    r2 = seq.value(float(a)) * w / (1.0 - w)
-    value, err = _power_integral(seq, r2, a, sigma)
-    with mp.workdps(40):
-        sig = mp.mpf(alpha) + mp.mpf(beta) - 1
-        x = mp.mpf(scale) * mp.mpf(a) ** mp.mpf(k)
-        c = sig - 1 / mp.mpf(k)
-        ref = a / mp.mpf(k) * x ** -sig / c * mp.hyp2f1(sig, c, c + 1, -mp.mpf(r2) / x)
+@given(st.sampled_from(("below-one", "near-one", "moderate", "large")), st.floats(0.0, 1.0),
+       st.floats(0.1, 0.9), st.floats(1.0, 60.0), st.booleans())
+@example("near-one", 0.0, 0.3, 33.36, False)
+@example("large", 0.0, 0.5, 16.5, True)
+def test_hurwitz_zeta_against_mpmath(band, u, x, a, alternating):
+    # the primitive gives zeta(t, a) less its pole a^(1-t)/(t-1); the
+    # exponent arrives as the pair (hi, lo) = x + y from _plus, with
+    # t in [0.2, 0.99] (alternating tails of the parity weight),
+    # t - 1 = 10^(-4u) (down to 1e-4), t in [2, 30], or t in [141, 220],
+    # where the direct-sum shift is what reaches eps.  The alternating form
+    # is the difference at a and a + 1/2.  The reference keeps 40 digits
+    # after mpmath's own reduction of a into (0, 1] (which cancels about
+    # t log10(a) of them) and after the pole (about 4 more)
+    y = {"below-one": 0.2 + 0.79 * u, "near-one": 1.0 + 10.0 ** (-4.0 * u),
+         "moderate": 2.0 + 28.0 * u, "large": 141.0 + 79.0 * u}[band] - x
+    hi, lo = _plus((x, 0.0), y)
+    assume(hi * math.log10(a + 1.0) < 280.0)  # inside the double range
+    value, err, _ = _hurwitz_zeta((hi, lo), a)
+    if alternating:
+        rest, err2, _ = _hurwitz_zeta((hi, lo), a + 0.5)
+        value, err = value - rest, err + err2
+    with mp.workdps(50 + int(hi * math.log10(a + 1.0))):
+        t = mp.mpf(x) + mp.mpf(y)
+        ref = mp.zeta(t, a) - mp.mpf(a) ** (1 - t) / (t - 1)
+        if alternating:
+            b = mp.mpf(a) + mp.mpf(0.5)
+            ref -= mp.zeta(t, b) - b ** (1 - t) / (t - 1)
         assert abs(value - ref) <= err
 
 
-def test_power_integral_needs_k_sigma_above_one():
-    # alpha+beta one ulp above 1 + 1/k passes the weighted-integral guard,
-    # but sigma = alpha+beta-1 rounds to k*sigma = 1 at k = 0.75
+def test_power_tail_needs_exact_k_sigma_above_one():
+    # alpha = 2, beta = fl(1/3): alpha+beta rounds to 2.3333333333333335 and
+    # passes the weighted-integral guard at k = 0.75 (1 + 1/k rounds to
+    # 2.333333333333333), but its exact value lies 1.9e-17 below 7/3, so the
+    # tail sum_n n^-k(alpha+beta-1) diverges
     seq = SequenceSpec.power(1.0, 0.75)
-    beta = math.nextafter(1.0 + 1.0 / 0.75, math.inf) - 2.0
     with pytest.raises(DivergenceError):
-        u_integral(seq, 2.0, beta, 0.5)
+        u_integral(seq, 2.0, 1.0 / 3.0, 0.5)
 
 
 def _u_panel(alpha, s0, r2, lo, hi):
