@@ -318,7 +318,7 @@ class _PowerSums:
     def __call__(self, m: int) -> tuple[float, float, float]:
         sig, lo = _plus(self.s0, float(m))
         a = self.a
-        n_j, omit = _orders(sig, self.w, 0.25 * _EPS) if self.c else (1, 0.0)
+        n_j, omit = _orders(sig, self.w, 0.25 * _EPS / max(self.w ** m, 1e-200)) if self.c else (1, 0.0)
         # s^-sigma drops lo; each step of the coefficient rounds about 3 times
         coef, rnd = self.seq.scale ** -sig, abs(lo * math.log(self.seq.scale))
         terms, err = [], 0.0

@@ -252,17 +252,32 @@ def test_u_integral_oracle():
     assert res.value == pytest.approx(O_U_INTEGRAL, rel=1e-12)
 
 
-def _u_reference(alpha, beta, r2):
-    # a_n = n: the integral is sum_{N>=1} int_N^inf, and the expansion
+def _u_reference(alpha, beta, r2, k=1.0):
+    # a_n = n^k: the integral is sum_{N>=1} int_{a_N}^inf, and the expansion
     # x^-alpha = sum_m (alpha)_m/m! r^(2m) (x+r^2)^-(alpha+m) turns each order
-    # into a Hurwitz zeta: sum_m (alpha)_m/m! r^(2m) zeta(s+m-1, 1+r^2)/(s+m-1)
+    # into P(s+m-1)/(s+m-1), P(t) = sum_{N>=1} (N^k + r^2)^-t: the Hurwitz
+    # zeta(t, 1+r^2) at k = 1; at k = 2 (r^2 <= 1) nine terms, then the
+    # binomial series in r^2/N^2 over zeta(2(t+j), 10)
     with mp.workdps(40):
-        s, rr = mp.mpf(alpha) + mp.mpf(beta), mp.mpf(r2)
+        s, rr, small = mp.mpf(alpha) + mp.mpf(beta), mp.mpf(r2), mp.mpf(10) ** -25
+
+        def power_sum(t):
+            if k == 1.0:
+                return mp.zeta(t, 1 + rr)
+            total, coef, j = mp.fsum((n * n + rr) ** -t for n in range(1, 10)), mp.mpf(1), 0
+            while True:
+                term = coef * mp.zeta(2 * (t + j), 10)
+                total += term
+                if j > 3 and abs(term) < small * abs(total):
+                    return total
+                coef *= -(t + j) / (j + 1) * rr
+                j += 1
+
         total, pf, m = mp.mpf(0), mp.mpf(1), 0
         while pf != 0:
-            term = pf * rr ** m * mp.zeta(s + m - 1, 1 + rr) / (s + m - 1)
+            term = pf * rr ** m * power_sum(s + m - 1) / (s + m - 1)
             total += term
-            if m > 3 and abs(term) < mp.mpf(10) ** -25 * abs(total):
+            if m > 3 and abs(term) < small * abs(total):
                 break
             pf *= (mp.mpf(alpha) + m) / (m + 1)
             m += 1
@@ -295,6 +310,16 @@ def test_u_integral_at_the_convergence_cliff(alpha, beta):
     assert res.converged
     assert abs(res.value - _u_reference(alpha, beta, 0.6 * 0.6)) <= res.err_est
     assert res.n_work < 1000
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 1.2), (1.0, 0.5001)])
+def test_u_integral_k2_against_hurwitz_reference(alpha, beta):
+    # a_n = n^2: every tail order is a binomial series over zeta(2(t+j), A)
+    # whose exponent pairs k (hi, lo) must stay exact; at (1, 0.5001)
+    # k(alpha+beta-1) - 1 = 2e-4
+    res = u_integral(SEQ_N2, alpha, beta, 0.6)
+    assert res.converged
+    assert abs(res.value - _u_reference(alpha, beta, 0.6 * 0.6, k=2.0)) <= res.err_est
 
 
 @settings(max_examples=60, deadline=None)
