@@ -272,9 +272,9 @@ class _PowerSums:
 
     k = 1: s^-sigma zeta(sigma, a + r^2/s), sigma = s0+m.  Otherwise the
     binomial series sum_j (-1)^j (sigma)_j/j! (r^2/s)^j s^-sigma Z(k(sigma+j)),
-    Z(t) = sum_{n>=a} (+-1)^(n+1) n^-t, in r^2/a_a <= 1/8 (_series_tail_start)
-    and cut as in _orders; Z depends on l = m+j only, so each exponent costs
-    one zeta.  Alternating Z are +-2^-t [zeta(t, b/2) - zeta(t, (b+1)/2)].
+    Z(t) = sum_{n>=a} (+-1)^(n+1) n^-t, in w = r^2/a_a <= 1/8, cut by _orders
+    at eps/4 of the order's weight w^m; Z depends on l = m+j only, so each
+    exponent costs one zeta.  Alternating Z: +-2^-t [zeta(t, b/2) - zeta(t, (b+1)/2)].
     """
 
     def __init__(self, seq: SequenceSpec, r2: float, s0: tuple[float, float], a: int,
@@ -317,8 +317,8 @@ class _PowerSums:
 
     def __call__(self, m: int) -> tuple[float, float, float]:
         sig, lo = _plus(self.s0, float(m))
-        a = self.a
-        n_j, omit = _orders(sig, self.w, 0.25 * _EPS / max(self.w ** m, 1e-200)) if self.c else (1, 0.0)
+        a, w = self.a, self.w
+        n_j, omit = _orders(sig, w, 0.25 * _EPS / max(w ** m, 1e-200)) if self.c else (1, 0.0)
         # s^-sigma drops lo; each step of the coefficient rounds about 3 times
         coef, rnd = self.seq.scale ** -sig, abs(lo * math.log(self.seq.scale))
         terms, err = [], 0.0
