@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .classical import HyperTriple, gauss_2f1_raw
@@ -227,6 +228,15 @@ def _plus(x: tuple[float, float], y: float) -> tuple[float, float]:
     return s, x[1] + ((x[0] - (s - v)) + (y - v))
 
 
+def _decay_integral(e: float, big_l: float) -> float:
+    # the integral of exp(-e y) over (0, L): -expm1(-e L)/e, or L at e = 0;
+    # x0^(1-t) times it at e = t-1 is the integral of x^-t over (x0, x0 e^L),
+    # with its digits kept where the difference of the two powers cancels
+    if e == 0.0:
+        return big_l
+    return -math.expm1(-e * big_l) / e
+
+
 def _hurwitz_zeta(t: tuple[float, float], a: float) -> tuple[float, float, int]:
     """zeta(t, a) - a^(1-t)/(t-1): the Hurwitz zeta sum_{n>=0} (n+a)^-t less
     its integral from a (the limit of their difference when t <= 1), at
@@ -247,20 +257,19 @@ def _hurwitz_zeta(t: tuple[float, float], a: float) -> tuple[float, float, int]:
     n_direct = max(0, math.ceil((hi + 26.0) / (0.5 * math.pi) - a))
     x = a + n_direct
     direct = math.fsum((a + n) ** -hi for n in range(n_direct))
-    # minus the integral of y^-t over (a, x)
-    big_l = math.log1p(n_direct / a)
-    span = a ** -e * (math.expm1(-e * big_l) / e if e else -big_l) if n_direct else 0.0
+    span = a ** -e * _decay_integral(e, math.log1p(n_direct / a))  # over (a, x)
     p = x ** -hi
-    parts = [direct, span, 0.5 * p]
-    term, x2, rnd = hi * p / x, x * x, 0.0
+    parts = [direct, -span, 0.5 * p]
+    term = hi * p / x
+    rnd = 0.0
     for j, b in enumerate(_BERNOULLI):
         omitted = abs(b * term)
         if omitted <= 0.25 * _EPS * p or j == len(_BERNOULLI) - 1:
             break
         parts.append(b * term)
         rnd += (4.0 * j + 8.0) * omitted
-        term *= (hi + 2 * j + 1) * (hi + 2 * j + 2) / x2
-    mass = direct - span + 0.5 * p
+        term *= (hi + 2 * j + 1) * (hi + 2 * j + 2) / (x * x)
+    mass = direct + span + 0.5 * p
     rel = (2.5 * hi + 6.0) * _EPS + abs(lo) * math.log(x)
     return math.fsum(parts), omitted + rel * mass + _EPS * rnd, n_direct + len(parts) - 2
 
@@ -279,36 +288,50 @@ class _PowerSums:
 
     def __init__(self, seq: SequenceSpec, r2: float, s0: tuple[float, float], a: int,
                  alternating: bool):
-        self.seq, self.r2, self.s0, self.a, self.alternating = seq, r2, s0, a, alternating
-        shifted = seq.exponent == 1.0
-        self.c = 0.0 if shifted else r2 / seq.scale
-        self.b = a + r2 / seq.scale if shifted else float(a)
-        self.w = 0.0 if shifted else r2 / seq.value(float(a))
+        self.seq = seq
+        self.s0 = s0
+        self.a = a
+        self.alternating = alternating
+        self.u_a = seq.value(float(a)) + r2
+        # the zeta argument b and the binomial ratios c = r^2/s, w = r^2/a_a;
+        # at k = 1 c moves into b and no binomial series is needed
+        self.b = float(a)
+        self.c = r2 / seq.scale
+        self.w = r2 / seq.value(float(a))
+        if seq.exponent == 1.0:
+            self.b += self.c
+            self.c = 0.0
         self.work = 0
         self._z: dict[int, tuple[float, float]] = {}
 
     def _z_sum(self, l: int) -> tuple[float, float]:
-        # Z at t = k (s0+l), memoised; k (hi, lo) keeps the exact rounding
-        # error of k hi, from the integer ratios of the three doubles
+        # Z at t = k (s0+l), memoised; lo takes up the exact rounding error of k hi
         hi, lo = _plus(self.s0, float(l))
         k = self.seq.exponent
         if k != 1.0:
-            (kn, kd), (hn, hd), (pn, pd) = (k.as_integer_ratio(), hi.as_integer_ratio(),
-                                            (k * hi).as_integer_ratio())
-            hi, lo = k * hi, (kn * hn * pd - pn * kd * hd) / (kd * hd * pd) + k * lo
+            k_hi = k * hi
+            lo = float(Fraction(k) * Fraction(hi) - Fraction(k_hi)) + k * lo
+            hi = k_hi
         e = (hi - 1.0) + lo
         if not (e > 0.0 or self.alternating):
             raise DivergenceError(f"power tail diverges: exponent {hi:.17g} {lo:+.3g} <= 1")
-        y = 0.5 * self.b if self.alternating else self.b
+        # zeta less its pole, then the pole: the integral of x^-t over (y, inf),
+        # or over (y, y + 1/2) for the alternating difference, whose sign is
+        # that of its first term
+        y = self.b
+        big_l = math.inf
+        h = 1.0
+        if self.alternating:
+            y = 0.5 * self.b
+            big_l = math.log1p(0.5 / y)
+            h = 2.0 ** -hi if self.a % 2 else -2.0 ** -hi
         z, z_err, n = _hurwitz_zeta((hi, lo), y)
         if self.alternating:
             z2, z2_err, n2 = _hurwitz_zeta((hi, lo), y + 0.5)
-            z, z_err, n = z - z2, z_err + z2_err, n + n2
-        # the poles: the integral of x^-t over (y, inf), or over (y, y + 1/2)
-        # for the alternating difference
-        big_l = math.log1p(0.5 / y) if self.alternating else math.inf
-        lead = -y ** -e * (math.expm1(-e * big_l) / e if e else -big_l)
-        h = (1.0 if self.a % 2 else -1.0) * 2.0 ** -hi if self.alternating else 1.0
+            z -= z2
+            z_err += z2_err
+            n += n2
+        lead = y ** -e * _decay_integral(e, big_l)
         z = h * (z + lead)
         lead_err = (hi * (abs(math.log(y)) + 2.5) + 8.0) * _EPS * lead
         self._z[l] = z, abs(h) * (z_err + lead_err) + (2.0 * _EPS + abs(lo)) * abs(z)
@@ -317,23 +340,31 @@ class _PowerSums:
 
     def __call__(self, m: int) -> tuple[float, float, float]:
         sig, lo = _plus(self.s0, float(m))
-        a, w = self.a, self.w
-        n_j, omit = _orders(sig, w, 0.25 * _EPS / max(w ** m, 1e-200)) if self.c else (1, 0.0)
+        a = self.a
+        n_j = 1
+        omit = 0.0
+        if self.c:
+            n_j, omit = _orders(sig, self.w, 0.25 * _EPS / max(self.w ** m, 1e-200))
         # s^-sigma drops lo; each step of the coefficient rounds about 3 times
-        coef, rnd = self.seq.scale ** -sig, abs(lo * math.log(self.seq.scale))
-        terms, err = [], 0.0
+        coef = self.seq.scale ** -sig
+        rnd = abs(lo * math.log(self.seq.scale))
+        terms = []
+        err = 0.0
         for j in range(n_j):
             z, z_err = self._z.get(m + j) or self._z_sum(m + j)
             terms.append(coef * z)
             err += abs(coef) * z_err + ((3.0 * j + 4.0) * _EPS + rnd) * abs(terms[-1])
             coef *= -self.c * (sig + j) / (j + 1.0)
-        # the omitted binomial terms are below the first of them over 1-q at
-        # every n; summed over n >= a, they stay below a^-t (1 + a/(t-1)),
-        # or a^-t when they alternate and decrease, as the tail itself does
-        t = self.seq.exponent * (sig + n_j)
-        omitted = omit * abs(coef) * a ** -t * (1.0 if self.alternating else 1.0 + a / (t - 1.0))
         total = math.fsum(terms)
-        major = (self.seq.value(float(a)) + self.r2) ** -sig if self.alternating else abs(total)
+        # the omitted binomial terms are below the first of them over 1-q at
+        # every n; summed over n >= a, they stay below a^-t, as the tail
+        # itself does when they alternate and decrease, or else a^-t (1 + a/(t-1))
+        t = self.seq.exponent * (sig + n_j)
+        omitted = omit * abs(coef) * a ** -t
+        major = self.u_a ** -sig
+        if not self.alternating:
+            omitted *= 1.0 + a / (t - 1.0)
+            major = abs(total)
         return total, err + omitted + 0.5 * _EPS * abs(total), major
 
 
@@ -389,8 +420,8 @@ def _panel(coeffs: _KernelCoeffs, s0: float, r2: float, lo: float,
     its error bound.
 
     Every order integrates exactly: with u = lo+r^2, w = r^2/u and
-    L = -log1p((hi-lo)/u), order m gives u^(1-s0) kappa_m w^m g_m with
-    g_m = -expm1((s0+m-1) L)/(s0+m-1), which keeps its digits on thin panels
+    L = log1p((hi-lo)/u), order m gives u^(1-s0) kappa_m w^m g_m with
+    g_m = _decay_integral(s0+m-1, L), which keeps its digits on thin panels
     where the difference of powers u^(1-s) - (u+hi-lo)^(1-s) cancels.  g_m
     falls with m, so the omitted orders add |kappa_m| w^m g_m / (1-q) at the
     first one (_orders); the coefficient errors are integrated the same way.
@@ -399,7 +430,7 @@ def _panel(coeffs: _KernelCoeffs, s0: float, r2: float, lo: float,
     """
     u = lo + r2
     w = r2 / u
-    big_l = -math.log1p((hi - lo) / u)
+    big_l = math.log1p((hi - lo) / u)
     m_n, omit = _orders(coeffs.alpha, w, 1e-15)
     coeffs.grow(m_n + 1)
     log_term = abs(math.log(u)) * (1.0 + abs(s0))
@@ -409,14 +440,14 @@ def _panel(coeffs: _KernelCoeffs, s0: float, r2: float, lo: float,
     wpow = 1.0
     for m in range(m_n):
         t = s0 + m - 1.0
-        wg = wpow * (-math.expm1(t * big_l) / t if t != 0.0 else -big_l)
+        wg = wpow * _decay_integral(t, big_l)
         term = coeffs.values[m] * wg
         terms.append(term)
         rnd += (4.0 * m + 16.0 + log_term) * abs(term)
         coef_err += coeffs.err_values[m] * wg
         wpow *= w
     t = s0 + m_n - 1.0
-    trunc = omit * abs(coeffs.values[m_n]) * wpow * -math.expm1(t * big_l) / t
+    trunc = omit * abs(coeffs.values[m_n]) * wpow * _decay_integral(t, big_l)
     scale = u ** (1.0 - s0)
     return scale * math.fsum(terms), scale * (_EPS * rnd + coef_err + trunc)
 
@@ -622,12 +653,20 @@ def _representation(params: MathieuParams, policy: QuadPolicy, kernel: str,
     i2 = cahen_integral(lam, eta1, params, alternating, policy, kernel, betas=betas)
     # lam+1 and eta+1 arrive rounded by d1, d2: an exponent moved by d moves I
     # by |d| times the mean of |log x| + 1 under the integrand, at most
-    # |log a_1| + 2k/(k(lam+eta)-1) (twice that of the bare power x^(1/k-s0))
-    shift = 1.0 + abs(math.log(params.seq.a1)) + 2.0 * k / max(k * (lam + eta) - 1.0, _EPS)
+    # |log a_1| plus twice the mean of log(x/a_1) under the bare power: the
+    # counting weight leaves x^(1/k-s0), mean k/(k(lam+eta)-1); the parity
+    # weight only cuts x^-s0 into panels, mean 1/(lam+eta)
+    if alternating:
+        spread = 2.0 / (lam + eta)
+    else:
+        spread = 2.0 * k / max(k * (lam + eta) - 1.0, _EPS)
+    shift = 1.0 + abs(math.log(params.seq.a1)) + spread
     value = lam * i1.value + eta * i2.value
     bound = lam * (i1.err_est + abs(d1) * shift * abs(i1.value)) \
         + eta * (i2.err_est + abs(d2) * shift * abs(i2.value))
-    return EvalResult(value, bound, i1.n_work + i2.n_work, i1.converged and i2.converged)
+    tol = max(policy.abs_tol, policy.rel_tol * abs(value))
+    converged = i1.converged and i2.converged and bound <= tol
+    return EvalResult(value, bound, i1.n_work + i2.n_work, converged)
 
 
 def mathieu_via_integral(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,

@@ -200,14 +200,19 @@ def _alt_reference(lam, eta, r2, b, c, k):
             m += 1
 
 
-@pytest.mark.parametrize("k", [1.0, 2.0])
-def test_alternating_tails_within_error(k):
+@pytest.mark.parametrize("lam,eta,k", [(0.7, 0.9, 1.0), (0.7, 0.9, 2.0), (0.3, 0.3, 1.0)])
+def test_alternating_tails_within_error(lam, eta, k):
     # each alternating tail is a difference of two Hurwitz zetas, poles
     # cancelled in closed form; once heuristic (the last Euler-transformed
-    # difference), the stated bound of both routes must cover the reference
-    params = MathieuParams(0.7, 0.9, 0.8, 0.6, 1.7, PQ0, SequenceSpec.power(1.0, k))
-    ref = _alt_reference(0.7, 0.9, 0.8 * 0.8, 0.6, 1.7, k)
-    for route in (mathieu_alternating_direct, mathieu_alt_via_integral):
+    # difference), the stated bound of both routes must cover the reference.
+    # At k(lam+eta) <= 1 only the integral route applies; its charge for the
+    # rounding of lam+1 and eta+1 must not take the plain series' 1/(k(lam+eta)-1)
+    params = MathieuParams(lam, eta, 0.8, 0.6, 1.7, PQ0, SequenceSpec.power(1.0, k))
+    ref = _alt_reference(lam, eta, 0.8 * 0.8, 0.6, 1.7, k)
+    routes = [mathieu_alt_via_integral]
+    if k * (lam + eta) > 1.0:
+        routes.append(mathieu_alternating_direct)
+    for route in routes:
         res = route(params)
         assert res.converged
         assert abs(res.value - ref) <= res.err_est
