@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .classical import HyperTriple, gauss_2f1_raw
@@ -305,13 +304,17 @@ class _PowerSums:
         self._z: dict[int, tuple[float, float]] = {}
 
     def _z_sum(self, l: int) -> tuple[float, float]:
-        # Z at t = k (s0+l), memoised; lo takes up the exact rounding error of k hi
+        # Z at t = k (s0+l), memoised
         hi, lo = _plus(self.s0, float(l))
         k = self.seq.exponent
         if k != 1.0:
-            k_hi = k * hi
-            lo = float(Fraction(k) * Fraction(hi) - Fraction(k_hi)) + k * lo
-            hi = k_hi
+            # lo takes up the exact rounding error of k hi, from the integer
+            # ratios of the three doubles
+            kn, kd = k.as_integer_ratio()
+            hn, hd = hi.as_integer_ratio()
+            pn, pd = (k * hi).as_integer_ratio()
+            lo = (kn * hn * pd - pn * kd * hd) / (kd * hd * pd) + k * lo
+            hi = k * hi
         e = (hi - 1.0) + lo
         if not (e > 0.0 or self.alternating):
             raise DivergenceError(f"power tail diverges: exponent {hi:.17g} {lo:+.3g} <= 1")
@@ -420,8 +423,8 @@ def _panel(coeffs: _KernelCoeffs, s0: float, r2: float, lo: float,
     its error bound.
 
     Every order integrates exactly: with u = lo+r^2, w = r^2/u and
-    L = log1p((hi-lo)/u), order m gives u^(1-s0) kappa_m w^m g_m with
-    g_m = _decay_integral(s0+m-1, L), which keeps its digits on thin panels
+    L = -log1p((hi-lo)/u), order m gives u^(1-s0) kappa_m w^m g_m with
+    g_m = -expm1((s0+m-1) L)/(s0+m-1), which keeps its digits on thin panels
     where the difference of powers u^(1-s) - (u+hi-lo)^(1-s) cancels.  g_m
     falls with m, so the omitted orders add |kappa_m| w^m g_m / (1-q) at the
     first one (_orders); the coefficient errors are integrated the same way.
@@ -430,7 +433,7 @@ def _panel(coeffs: _KernelCoeffs, s0: float, r2: float, lo: float,
     """
     u = lo + r2
     w = r2 / u
-    big_l = math.log1p((hi - lo) / u)
+    big_l = -math.log1p((hi - lo) / u)
     m_n, omit = _orders(coeffs.alpha, w, 1e-15)
     coeffs.grow(m_n + 1)
     log_term = abs(math.log(u)) * (1.0 + abs(s0))
@@ -440,14 +443,14 @@ def _panel(coeffs: _KernelCoeffs, s0: float, r2: float, lo: float,
     wpow = 1.0
     for m in range(m_n):
         t = s0 + m - 1.0
-        wg = wpow * _decay_integral(t, big_l)
+        wg = wpow * (-math.expm1(t * big_l) / t if t != 0.0 else -big_l)
         term = coeffs.values[m] * wg
         terms.append(term)
         rnd += (4.0 * m + 16.0 + log_term) * abs(term)
         coef_err += coeffs.err_values[m] * wg
         wpow *= w
     t = s0 + m_n - 1.0
-    trunc = omit * abs(coeffs.values[m_n]) * wpow * _decay_integral(t, big_l)
+    trunc = omit * abs(coeffs.values[m_n]) * wpow * -math.expm1(t * big_l) / t
     scale = u ** (1.0 - s0)
     return scale * math.fsum(terms), scale * (_EPS * rnd + coef_err + trunc)
 
