@@ -203,10 +203,10 @@ def _alt_reference(lam, eta, r2, b, c, k):
 @pytest.mark.parametrize("lam,eta,k", [(0.7, 0.9, 1.0), (0.7, 0.9, 2.0), (0.3, 0.3, 1.0)])
 def test_alternating_tails_within_error(lam, eta, k):
     # each alternating tail is a difference of two Hurwitz zetas, poles
-    # cancelled in closed form; once heuristic (the last Euler-transformed
-    # difference), the stated bound of both routes must cover the reference.
-    # At k(lam+eta) <= 1 only the integral route applies; its charge for the
-    # rounding of lam+1 and eta+1 must not take the plain series' 1/(k(lam+eta)-1)
+    # cancelled in closed form; the stated bound of both routes must cover
+    # the reference.  At k(lam+eta) <= 1 only the integral route applies; its
+    # charge for the rounding of lam+1 and eta+1 must not take the counting
+    # weight's 1/(k(lam+eta)-1)
     params = MathieuParams(lam, eta, 0.8, 0.6, 1.7, PQ0, SequenceSpec.power(1.0, k))
     ref = _alt_reference(lam, eta, 0.8 * 0.8, 0.6, 1.7, k)
     routes = [mathieu_alt_via_integral]
