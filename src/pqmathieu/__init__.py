@@ -18,8 +18,8 @@ from .mathieu import (MathieuParams, SequenceSpec, alternating_counting_value,
                       closed_tail_2f1, counting_value, mathieu_alt_via_integral,
                       mathieu_alternating_direct, mathieu_direct, mathieu_via_integral,
                       u_integral)
-from .quadrature import (DEFAULT_POLICY, IntegrationResult, QuadPolicy, integrate_finite,
-                         integrate_finite_xc, integrate_log_moments, integrate_to_infinity)
+from .quadrature import (DEFAULT_POLICY, QuadPolicy, integrate_finite, integrate_finite_xc,
+                         integrate_log_moments, integrate_to_infinity)
 from .results import EvalResult
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "EvalResult",
     "HyperTriple",
     "IntegrandError",
-    "IntegrationResult",
     "MathieuParams",
     "PQParams",
     "QuadPolicy",

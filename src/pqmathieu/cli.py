@@ -23,6 +23,7 @@ from .mathieu import (MathieuParams, SequenceSpec, bound_mathieu_alt_rhs, bound_
                       mathieu_alt_via_integral, mathieu_alternating_direct, mathieu_direct,
                       mathieu_via_integral, u_integral)
 from .quadrature import QuadPolicy
+from .results import EvalResult
 from .verification import SUITES
 
 TARGETS = ["beta", "gauss", "kummer", "mathieu", "mathieu-alt", "u-integral", "bound", "bound-alt"]
@@ -113,61 +114,56 @@ def _require(ns_vals: dict, target: str) -> None:
             raise DomainError(f"target {target} requires {flag}")
 
 
-def _evaluate(target: str, method: str | None, vals: dict, policy: QuadPolicy) -> list[dict]:
-    """One output record per evaluated method; raises DomainError on bad input."""
+def _build(target: str, vals: dict) -> tuple:
+    """The parameter objects of one row: (pq, seq, obj), obj its HyperTriple
+    or MathieuParams, None where the target takes no such parameter.  Their
+    constructors raise DomainError on bad input."""
     _require(vals, target)
-    pq = PQParams(vals.get("p") or 0.0, vals.get("q") or 0.0) if "p" in TARGET_PARAMS[target] else None
-    records = []
+    names = TARGET_PARAMS[target]
+    pq = PQParams(vals.get("p") or 0.0, vals.get("q") or 0.0) if "p" in names else None
+    seq = _sequence(vals) if "seq" in names else None
+    obj = None
+    if target == "gauss":
+        obj = HyperTriple(vals["a"], vals["b"], vals["c"])
+    elif target in ("mathieu", "mathieu-alt", "bound", "bound-alt"):
+        obj = MathieuParams(vals["lam"], vals["eta"], vals["r"], vals["b"], vals["c"], pq, seq)
+    return pq, seq, obj
 
-    def rec(method_name: str, value: float, err: float, work: int, conv: bool) -> None:
-        records.append({"target": target, "method": method_name, **_param_cols(target, vals),
-                        "value": value, "err_est": err, "n_work": work, "converged": conv})
 
+def _run(target: str, method: str | None, vals: dict, built: tuple,
+         policy: QuadPolicy) -> list[dict]:
+    """One output record per evaluated method of a row built by _build."""
+    pq, seq, obj = built
+    results = []
     if target == "beta":
-        res = extended_beta(vals["x"], vals["y"], pq, policy)
-        rec("integral", res.value, res.err_est, res.n_work, res.converged)
+        results.append(("integral", extended_beta(vals["x"], vals["y"], pq, policy)))
     elif target == "gauss":
-        trip = HyperTriple(vals["a"], vals["b"], vals["c"])
         m = method or "integral"
         if m in ("integral", "both"):
-            res = extended_gauss_integral(trip, vals["z"], pq, policy)
-            rec("integral", res.value, res.err_est, res.n_work, res.converged)
+            results.append(("integral", extended_gauss_integral(obj, vals["z"], pq, policy)))
         if m in ("direct", "both"):
-            res = extended_gauss_series(trip, vals["z"], pq, policy=policy)
-            rec("series", res.value, res.err_est, res.n_work, res.converged)
+            results.append(("series", extended_gauss_series(obj, vals["z"], pq, policy=policy)))
     elif target == "kummer":
-        res = extended_kummer(vals["b"], vals["c"], vals["z"], pq, policy)
-        rec("series", res.value, res.err_est, res.n_work, res.converged)
+        results.append(("series", extended_kummer(vals["b"], vals["c"], vals["z"], pq, policy)))
     elif target in ("mathieu", "mathieu-alt"):
-        params = MathieuParams(vals["lam"], vals["eta"], vals["r"], vals["b"], vals["c"],
-                               pq, _sequence(vals))
         alt = target == "mathieu-alt"
         m = method or "direct"
         if m in ("direct", "both"):
-            res = (mathieu_alternating_direct if alt else mathieu_direct)(params, policy)
-            rec("direct", res.value, res.err_est, res.n_work, res.converged)
+            fn = mathieu_alternating_direct if alt else mathieu_direct
+            results.append(("direct", fn(obj, policy)))
         if m in ("integral", "both"):
-            res = (mathieu_alt_via_integral if alt else mathieu_via_integral)(params, policy)
-            rec("integral", res.value, res.err_est, res.n_work, res.converged)
+            fn = mathieu_alt_via_integral if alt else mathieu_via_integral
+            results.append(("integral", fn(obj, policy)))
     elif target == "u-integral":
-        res = u_integral(_sequence(vals), vals["lam"], vals["eta"], vals["r"], policy)
-        rec("integral", res.value, res.err_est, res.n_work, res.converged)
+        results.append(("integral", u_integral(seq, vals["lam"], vals["eta"], vals["r"], policy)))
     else:  # bound, bound-alt
-        params = MathieuParams(vals["lam"], vals["eta"], vals["r"], vals["b"], vals["c"],
-                               pq, _sequence(vals))
         fn = bound_mathieu_alt_rhs if target == "bound-alt" else bound_mathieu_rhs
-        rec("bound_rhs", fn(params, policy), 0.0, 0, True)
-    return records
-
-
-def _param_cols(target: str, vals: dict) -> dict:
-    cols = {}
-    for name in TARGET_PARAMS[target]:
-        if name == "seq":
-            cols["seq"] = _sequence(vals).label
-        else:
-            cols[name] = vals.get(name)
-    return cols
+        results.append(("bound_rhs", EvalResult(fn(obj, policy), 0.0, 0, True)))
+    cols = {name: seq.label if name == "seq" else vals.get(name)
+            for name in TARGET_PARAMS[target]}
+    return [{"target": target, "method": name, **cols, "value": res.value,
+             "err_est": res.err_est, "n_work": res.n_work, "converged": res.converged}
+            for name, res in results]
 
 
 def _emit(records: list[dict], fmt: str) -> None:
@@ -204,7 +200,9 @@ def _vals_from(ns: argparse.Namespace) -> dict:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    records = _evaluate(ns.target, ns.method, _vals_from(ns), _policy(ns))
+    policy = _policy(ns)
+    vals = _vals_from(ns)
+    records = _run(ns.target, ns.method, vals, _build(ns.target, vals), policy)
     _emit(records, ns.output)
     return 0 if all(r["converged"] for r in records) else 2
 
@@ -246,31 +244,12 @@ def cmd_scan(ns: argparse.Namespace) -> int:
         (k1, pts1), (k2, pts2) = axes
         rows = [{**base, k1: v1, k2: v2} for v1 in pts1 for v2 in pts2]
 
-    # the whole sweep must lie inside the target domain before row 1 runs
-    for row in rows:
-        _prevalidate(ns.target, row)
-    records = []
-    ok = True
-    for row in rows:
-        for r in _evaluate(ns.target, ns.method, row, policy):
-            records.append(r)
-            ok = ok and r["converged"]
+    # every row's parameter objects are built, and so checked, before row 1 runs
+    built = [_build(ns.target, row) for row in rows]
+    records = [r for row, objs in zip(rows, built)
+               for r in _run(ns.target, ns.method, row, objs, policy)]
     _emit(records, ns.output)
-    return 0 if ok else 2
-
-
-def _prevalidate(target: str, vals: dict) -> None:
-    _require(vals, target)
-    if "p" in TARGET_PARAMS[target]:
-        PQParams(vals.get("p") or 0.0, vals.get("q") or 0.0)
-    if "seq" in TARGET_PARAMS[target]:
-        seq = _sequence(vals)
-        if target in ("mathieu", "mathieu-alt", "bound", "bound-alt"):
-            MathieuParams(vals["lam"], vals["eta"], vals["r"], vals["b"], vals["c"],
-                          PQParams(vals.get("p") or 0.0, vals.get("q") or 0.0), seq)
-    if target in ("gauss", "kummer") and vals.get("b") is not None and vals.get("c") is not None:
-        if not vals["c"] > vals["b"] > 0.0:
-            raise DomainError(f"require c > b > 0, got b={vals['b']}, c={vals['c']}")
+    return 0 if all(r["converged"] for r in records) else 2
 
 
 def main(argv: list[str] | None = None) -> int:

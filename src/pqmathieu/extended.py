@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .classical import HyperTriple, beta, gauss_2f1
 from .errors import DomainError
@@ -86,13 +87,10 @@ def extended_beta(x: float, y: float, pq: PQParams,
     """Extended Beta B(x, y; p, q) = int_0^1 t^(x-1) (1-t)^(y-1) e^(-p/t - q/(1-t)) dt.
 
     Reduces to the classical B(x, y) at p = q = 0 (where x, y > 0 is
-    required).  With damping present the respective argument may be any real;
-    such evaluations are flagged outside_classical_domain.
+    required).  With damping present the respective argument may be any real.
     """
     _check_beta_args(x, y, pq)
-    res = integrate_finite_xc(_beta_log_weight(x, y, pq), 0.0, 1.0, policy, log_space=True)
-    return EvalResult(res.value, res.abs_err_est, res.n_evals, res.converged,
-                      outside_classical_domain=(x <= 0.0 or y <= 0.0))
+    return integrate_finite_xc(_beta_log_weight(x, y, pq), 0.0, 1.0, policy, log_space=True)
 
 
 def _check_beta_args(x: float, y: float, pq: PQParams) -> None:
@@ -113,10 +111,7 @@ def extended_beta_table(x0: float, y: float, pq: PQParams, n: int,
     them (see quadrature.integrate_log_moments).
     """
     _check_beta_args(x0, y, pq)
-    entries = integrate_log_moments(_beta_log_weight(x0, y, pq), 0.0, 1.0, n, policy)
-    return [EvalResult(r.value, r.abs_err_est, r.n_evals, r.converged,
-                       outside_classical_domain=(x0 + j <= 0.0 or y <= 0.0))
-            for j, r in enumerate(entries)]
+    return integrate_log_moments(_beta_log_weight(x0, y, pq), 0.0, 1.0, n, policy)
 
 
 # entries per node set when a coefficient table grows with its series
@@ -175,7 +170,45 @@ def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
 
     res = integrate_finite_xc(lg, 0.0, 1.0, policy, log_space=True)
     norm = beta(b, c - b)
-    return EvalResult(res.value / norm, res.abs_err_est / norm, res.n_evals, res.converged)
+    return EvalResult(res.value / norm, res.err_est / norm, res.n_work, res.converged)
+
+
+def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
+                 majorant: Callable[[int, float], float | None], n_cap: int) -> EvalResult:
+    """sum_n pre_n B_n / norm over the column's coefficients B_n, with pre_0 = 1
+    and pre_(n+1) = pre_n * ratio(n), summed to at most n_cap terms.
+
+    majorant(n, term) bounds the terms after term n, or is None while no
+    bound is known.  The sum stops after two settled terms in a row and is
+    converged when the tail plus the accumulated coefficient errors meet
+    rel_tol * |sum| and every coefficient used converged.
+    """
+    rel_tol = coefs.policy.rel_tol
+    total = 0.0
+    err_acc = 0.0
+    pre = 1.0
+    tail = math.inf
+    hits = 0
+    for n in range(n_cap):
+        coefs.grow(n + 1)
+        term = pre * coefs.values[n] / norm
+        total += term
+        err_acc += abs(pre) / norm * coefs.errs[n]
+        bound = majorant(n, term)
+        if bound is not None:
+            tail = bound
+            tol = rel_tol * max(abs(total), 1e-300)
+            # err_acc only grows, so once it alone exceeds tol the series
+            # cannot converge; it then stops as soon as the tail is small
+            if tail + err_acc <= tol or tail <= tol < err_acc:
+                hits += 1
+                if hits >= 2:
+                    converged = tail + err_acc <= tol and all(coefs.converged[:n + 1])
+                    return EvalResult(total, tail + err_acc, coefs.n_work, converged)
+            else:
+                hits = 0
+        pre *= ratio(n)
+    return EvalResult(total, tail + err_acc, coefs.n_work, False)
 
 
 def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
@@ -194,7 +227,6 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
         raise DomainError(f"extended_gauss_series requires |z| < 1, got z={z}")
     a, b, c = triple.a, triple.b, triple.c
     norm = beta(b, c - b)
-    env = pq.envelope
     if n_max is None:
         floor_target = max(policy.rel_tol * 1e-2, 1e-15)
         if abs(z) > 0.0:
@@ -202,48 +234,18 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
         else:
             n_max = 4
         n_max = min(max(n_max, 40), 1000)
+    major = pq.envelope  # envelope * (a)_n (b)_n / ((c)_n n!) |z|^n
 
-    coefs = _BetaColumn(b, c - b, pq, policy)
-    total = 0.0
-    err_acc = 0.0
-    poch_z = 1.0        # (a)_n z^n / n!
-    major = env         # envelope * (a)_n (b)_n / ((c)_n n!) |z|^n
-    hits = 0
-    stopped = False
-    tail = math.inf
-    n = 0
-    while n < n_max:
-        coefs.grow(n + 1)
-        term = poch_z * coefs.values[n] / norm
-        total += term
-        err_acc += abs(poch_z) / norm * coefs.errs[n]
-        # classical majorant of the next terms
+    def majorant(n: int, term: float) -> float | None:
+        # classical majorant of the terms after n
+        nonlocal major
         ratio_next = abs(z) * (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        major *= ratio_next
         rho = max(abs(z), ratio_next)
-        major_next = major * ratio_next
-        if rho < 1.0:
-            tail = major_next / (1.0 - rho)
-            if _series_settled(tail, err_acc, total, policy):
-                hits += 1
-                if hits >= 2:
-                    stopped = True
-                    n += 1
-                    break
-            else:
-                hits = 0
-        poch_z *= (a + n) * z / (n + 1.0)
-        major = major_next
-        n += 1
-    converged = stopped and tail + err_acc <= policy.rel_tol * max(abs(total), 1e-300) \
-        and all(coefs.converged[:n])
-    return EvalResult(total, tail + err_acc, coefs.n_work, converged)
+        return major / (1.0 - rho) if rho < 1.0 else None
 
-
-def _series_settled(tail: float, err_acc: float, total: float, policy: QuadPolicy) -> bool:
-    # err_acc only grows, so once it alone exceeds tol the series cannot
-    # converge; it then stops as soon as the tail is small
-    tol = policy.rel_tol * max(abs(total), 1e-300)
-    return tail + err_acc <= tol or tail <= tol < err_acc
+    return _beta_series(_BetaColumn(b, c - b, pq, policy), norm,
+                        lambda n: (a + n) * z / (n + 1.0), majorant, n_max)
 
 
 def kummer_coefficient_table(b: float, c: float, pq: PQParams, n_terms: int,
@@ -294,46 +296,22 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
         w, bb, pq_eff = -z, c - b, pq.swapped()
     norm = beta(b, c - b)
 
-    coefs = _BetaColumn(bb, c - bb, pq_eff, policy)
-    total = 0.0
-    err_acc = 0.0
-    zp = 1.0            # w^n / n!
-    hits = 0
-    stopped = False
-    tail = math.inf
-    n = 0
-    n_cap = int(w + 10.0 * math.sqrt(w + 1.0)) + 60
-    while n < n_cap:
-        coefs.grow(n + 1)
-        term = zp * coefs.values[n] / norm
-        total += term
-        err_acc += zp / norm * coefs.errs[n]
+    def majorant(n: int, term: float) -> float | None:
         rho = w / (n + 2.0)  # coefficient ratios are < 1, so this majorizes
-        if rho < 1.0:
-            tail = abs(term) * rho / (1.0 - rho)
-            if _series_settled(tail, err_acc, total, policy):
-                hits += 1
-                if hits >= 2:
-                    stopped = True
-                    n += 1
-                    break
-            else:
-                hits = 0
-        zp *= w / (n + 1.0)
-        n += 1
-    converged = stopped and tail + err_acc <= policy.rel_tol * max(abs(total), 1e-300) \
-        and all(coefs.converged[:n])
-    n_evals = coefs.n_work
+        return abs(term) * rho / (1.0 - rho) if rho < 1.0 else None
 
-    if z < 0.0:
-        if w < 100.0:
-            scale = math.exp(z)
-            value = scale * total
-        else:
-            value = math.exp(z + math.log(total))
-            scale = value / total
-        return EvalResult(value, scale * (tail + err_acc), n_evals, converged)
-    return EvalResult(total, tail + err_acc, n_evals, converged)
+    n_cap = int(w + 10.0 * math.sqrt(w + 1.0)) + 60
+    res = _beta_series(_BetaColumn(bb, c - bb, pq_eff, policy), norm,
+                       lambda n: w / (n + 1.0), majorant, n_cap)
+    if z >= 0.0:
+        return res
+    if w < 100.0:
+        scale = math.exp(z)
+        value = scale * res.value
+    else:
+        value = math.exp(z + math.log(res.value))
+        scale = value / res.value
+    return EvalResult(value, scale * res.err_est, res.n_work, res.converged)
 
 
 def gauss_bound_rhs(triple: HyperTriple, z: float, pq: PQParams,

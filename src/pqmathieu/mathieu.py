@@ -478,7 +478,9 @@ def _check_series_convergence(params: MathieuParams) -> None:
 
 def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool,
                     kind: str) -> EvalResult:
-    _check_series_convergence(params)
+    # the alternating series converges for every lam+eta > 0
+    if not alternating:
+        _check_series_convergence(params)
     seq = params.seq
     lam, eta, r2 = params.lam, params.eta, params.r ** 2
     inner = _inner_policy(policy)
@@ -545,15 +547,16 @@ def mathieu_alternating_direct(params: MathieuParams, policy: QuadPolicy = DEFAU
 
 def _check_weighted_convergence(alpha: float, beta_: float, seq: SequenceSpec,
                                 alternating: bool) -> None:
-    # the parity weight keeps about half of every panel, so the alternating
-    # integral converges only where the plain power integral does
+    # order m of the kernel expansion integrates panel N to v_N - v_(N+1) >= 0,
+    # v_n = (a_n + r^2)^-sigma / sigma, sigma = alpha+beta+m-1; the parity
+    # weight keeps the odd N, whose sum stays below v_1 whenever
+    # alpha+beta > 1, whatever k
     k = seq.exponent
     if alternating:
-        if alpha + beta_ <= 1.0 or k * (alpha + beta_) <= 1.0:
+        if alpha + beta_ <= 1.0:
             raise DivergenceError(
                 f"alternating weighted integral diverges: alpha+beta = "
-                f"{alpha + beta_:g}, k*(alpha+beta) = {k * (alpha + beta_):g}; "
-                f"both must exceed 1")
+                f"{alpha + beta_:g} <= 1")
     elif alpha + beta_ <= 1.0 + 1.0 / k:
         raise DivergenceError(
             f"weighted integral diverges: alpha+beta = {alpha + beta_:g} "
@@ -707,8 +710,8 @@ def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
     near = [integrate_finite_xc(power, seq.value(n), seq.value(n + 1), inner)  # a_n < r^2
             for n in range(1, counting_value(seq, math.nextafter(r2, 0.0)) + 1)]
     head = EvalResult(math.fsum(n * q.value for n, q in enumerate(near, 1)),
-                      math.fsum(n * q.abs_err_est for n, q in enumerate(near, 1)),
-                      sum(q.n_evals for q in near), all(q.converged for q in near))
+                      math.fsum(n * q.err_est for n, q in enumerate(near, 1)),
+                      sum(q.n_work for q in near), all(q.converged for q in near))
     return _cahen_engine(lam, eta, seq, r, 0.0, 1.0, PQParams(), False, policy, "classical",
                          first=len(near) + 1, head=head)
 

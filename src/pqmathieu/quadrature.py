@@ -28,10 +28,10 @@ from operator import mul
 from typing import Callable
 
 from .errors import DomainError, IntegrandError
+from .results import EvalResult
 
 __all__ = [
     "QuadPolicy",
-    "IntegrationResult",
     "DEFAULT_POLICY",
     "integrate_finite",
     "integrate_finite_xc",
@@ -72,14 +72,6 @@ class QuadPolicy:
             raise DomainError("max_refinements must be >= 1")
         if self.max_evals < 16:
             raise DomainError("max_evals must be >= 16")
-
-
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: float
-    abs_err_est: float
-    n_evals: int
-    converged: bool
 
 
 DEFAULT_POLICY = QuadPolicy()
@@ -318,17 +310,17 @@ class _Moments:
             defect_prev[j] = defects[j]
         return level > 0 and done
 
-    def results(self, n_evals: int) -> list[IntegrationResult]:
-        return [IntegrationResult(v, e, n_evals, c)
+    def results(self, n_evals: int) -> list[EvalResult]:
+        return [EvalResult(v, e, n_evals, c)
                 for v, e, c in zip(self.values, self.est, self.converged)]
 
 
 def _tanh_sinh(g: Callable[[float, float, float], float], lo: float, hi: float,
                policy: QuadPolicy, endpoint_safe: bool,
-               log_space: bool = False) -> IntegrationResult:
+               log_space: bool = False) -> EvalResult:
     acc = _Sum(g, policy, log_space)
     n_evals = _fan(acc, lo, hi, policy.max_refinements, policy.max_evals, endpoint_safe)
-    return IntegrationResult(acc.value, acc.est, n_evals, acc.converged)
+    return EvalResult(acc.value, acc.est, n_evals, acc.converged)
 
 
 def _check_interval(lo: float, hi: float) -> None:
@@ -339,7 +331,7 @@ def _check_interval(lo: float, hi: float) -> None:
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
-                     policy: QuadPolicy = DEFAULT_POLICY) -> IntegrationResult:
+                     policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Integrate f over the open interval (lo, hi).
 
     Endpoint values are never requested; node abscissae cluster toward the
@@ -353,7 +345,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
 
 def integrate_finite_xc(g: Callable[[float, float, float], float], lo: float, hi: float,
                         policy: QuadPolicy = DEFAULT_POLICY,
-                        log_space: bool = False) -> IntegrationResult:
+                        log_space: bool = False) -> EvalResult:
     """Distance-aware variant of integrate_finite.
 
     The integrand is called as g(x, x - lo, hi - x) with both endpoint
@@ -370,14 +362,14 @@ def integrate_finite_xc(g: Callable[[float, float, float], float], lo: float, hi
 
 
 def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float, hi: float,
-                          n: int, policy: QuadPolicy = DEFAULT_POLICY) -> list[IntegrationResult]:
+                          n: int, policy: QuadPolicy = DEFAULT_POLICY) -> list[EvalResult]:
     """Integrals of (x - lo)**j * exp(lg(x, x - lo, hi - x)) over (lo, hi), j = 0 .. n-1.
 
     One node fan serves all n entries: lg is evaluated once per node, in log
     space from the exact endpoint distances as in integrate_finite_xc, and
     the powers come from repeated multiplication of the exact offset x - lo.
     Each entry has its own value, error estimate and converged flag; every
-    entry's n_evals is the node count of the shared fan.  A side of the fan
+    entry's n_work is the node count of the shared fan.  A side of the fan
     closes only once every entry is negligible there, and the fan may spend
     n * policy.max_evals node evaluations, the budget of n separate
     quadratures.
@@ -396,7 +388,7 @@ def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float,
 
 
 def integrate_to_infinity(f: Callable[[float], float], lo: float,
-                          policy: QuadPolicy = DEFAULT_POLICY) -> IntegrationResult:
+                          policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Integrate f over [lo, inf) for absolutely integrable, decaying f.
 
     Uses the substitution x = lo + u/(1-u) onto (0, 1) and the finite engine.
@@ -425,5 +417,5 @@ def integrate_to_infinity(f: Callable[[float], float], lo: float,
 
     res = _tanh_sinh(g, 0.0, 1.0, policy, endpoint_safe=False)
     if blowup:
-        return IntegrationResult(res.value, math.inf, res.n_evals, False)
+        return EvalResult(res.value, math.inf, res.n_work, False)
     return res

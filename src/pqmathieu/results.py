@@ -1,4 +1,5 @@
-"""Shared result container for function evaluations."""
+"""The one result record of every evaluator, from a single quadrature up to
+a CLI row."""
 
 from __future__ import annotations
 
@@ -9,15 +10,12 @@ from dataclasses import dataclass
 class EvalResult:
     """Value with an attached error estimate and work counter.
 
-    n_work counts series terms summed or integrand evaluations, whichever
-    drives the computation.  outside_classical_domain marks evaluations that
-    converge only thanks to the exponential damping factors (for example an
-    extended Beta with a nonpositive first argument); downstream identities
-    that assume the classical domain should check it.
+    n_work counts integrand evaluations for a quadrature (every entry of a
+    shared-node table reports the node count of the whole fan) and, above
+    it, the evaluations or series terms that drive the computation.
     """
 
     value: float
     err_est: float
     n_work: int
     converged: bool
-    outside_classical_domain: bool = False

@@ -21,8 +21,9 @@ from .extended import (PQParams, extended_beta, extended_gauss_integral,
 from .mathieu import (MathieuParams, SequenceSpec, bound_mathieu_alt_rhs, bound_mathieu_rhs,
                       closed_tail_2f1, counting_value, mathieu_alt_via_integral,
                       mathieu_alternating_direct, mathieu_direct, mathieu_via_integral)
-from .quadrature import (DEFAULT_POLICY, IntegrationResult, QuadPolicy, integrate_finite,
-                         integrate_finite_xc, integrate_to_infinity)
+from .quadrature import (DEFAULT_POLICY, QuadPolicy, integrate_finite, integrate_finite_xc,
+                         integrate_to_infinity)
+from .results import EvalResult
 
 __all__ = [
     "CheckRecord",
@@ -40,6 +41,12 @@ __all__ = [
 
 # frozen oracle for the flat double-well integrand (tests/make_oracles.py)
 _EXP_WELL = 0.0070298584066096565
+# seed of every random grid, and the grid sizes
+_SEED = 20260808
+_TWO_PATH_POINTS = 50
+_LAPLACE_POINTS = 10
+_CLOSED_TAIL_POINTS = 10
+_COUNTING_PER_FAMILY = 1000
 
 
 @dataclass(frozen=True)
@@ -125,11 +132,10 @@ def check_reductions(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRecord]:
 # series path vs integral path for the extended Gauss function
 
 
-def check_two_path(policy: QuadPolicy = DEFAULT_POLICY, n_points: int = 50,
-                   seed: int = 20260808) -> list[CheckRecord]:
-    rng = random.Random(seed)
+def check_two_path(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRecord]:
+    rng = random.Random(_SEED)
     out: list[CheckRecord] = []
-    for _ in range(n_points):
+    for _ in range(_TWO_PATH_POINTS):
         a = rng.uniform(0.3, 2.5)
         b = rng.uniform(0.3, 1.8)
         c = b + rng.uniform(0.3, 1.8)
@@ -202,11 +208,10 @@ def laplace_identity_pair(lam: float, b: float, c: float, pq: PQParams, z: float
     return lhs, rhs
 
 
-def check_laplace(policy: QuadPolicy = DEFAULT_POLICY, n_points: int = 10,
-                  seed: int = 20260808) -> list[CheckRecord]:
-    rng = random.Random(seed)
+def check_laplace(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRecord]:
+    rng = random.Random(_SEED)
     out: list[CheckRecord] = []
-    for _ in range(n_points):
+    for _ in range(_LAPLACE_POINTS):
         lam = rng.uniform(0.4, 2.2)
         b = rng.uniform(0.4, 1.6)
         c = b + rng.uniform(0.4, 1.4)
@@ -306,7 +311,7 @@ def check_bounds(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRecord]:
 # quadrature golden suite
 
 
-def golden_integrals(policy: QuadPolicy = DEFAULT_POLICY) -> list[tuple[str, IntegrationResult, float]]:
+def golden_integrals(policy: QuadPolicy = DEFAULT_POLICY) -> list[tuple[str, EvalResult, float]]:
     """Ten closed-form integrals exercising smooth, endpoint-singular, and
     semi-infinite behavior; right-endpoint singular ones use the
     distance-aware entry point."""
@@ -346,8 +351,8 @@ def check_quadrature_golden(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRe
         out.append(CheckRecord("quadrature-golden", f"{name}:relative_error", "",
                                res.value, truth, 1e-10 - rel, rel <= 1e-10))
         out.append(CheckRecord("quadrature-golden", f"{name}:error_honesty", "",
-                               err, 5.0 * res.abs_err_est, 5.0 * res.abs_err_est - err,
-                               err <= 5.0 * res.abs_err_est))
+                               err, 5.0 * res.err_est, 5.0 * res.err_est - err,
+                               err <= 5.0 * res.err_est))
     return out
 
 
@@ -355,14 +360,14 @@ def check_quadrature_golden(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRe
 # counting function exactness
 
 
-def check_counting(n_per_family: int = 1000, seed: int = 20260808) -> list[CheckRecord]:
-    rng = random.Random(seed)
+def check_counting() -> list[CheckRecord]:
+    rng = random.Random(_SEED)
     out: list[CheckRecord] = []
     families = [SequenceSpec.power(), SequenceSpec.power(1.0, 2.0), SequenceSpec.power(2.0, 1.0)]
     for seq in families:
         mismatches = 0
         hi = seq.value(800.0)
-        for _ in range(n_per_family):
+        for _ in range(_COUNTING_PER_FAMILY):
             x = rng.uniform(0.0, hi)
             got = counting_value(seq, x)
             brute = 0
@@ -373,7 +378,7 @@ def check_counting(n_per_family: int = 1000, seed: int = 20260808) -> list[Check
             if got != brute:
                 mismatches += 1
         out.append(CheckRecord("counting", f"exact_vs_brute_force[{seq.label}]",
-                               f"n={n_per_family}", float(mismatches), 0.0,
+                               f"n={_COUNTING_PER_FAMILY}", float(mismatches), 0.0,
                                -float(mismatches), mismatches == 0))
     return out
 
@@ -382,11 +387,10 @@ def check_counting(n_per_family: int = 1000, seed: int = 20260808) -> list[Check
 # closed-form tail vs direct quadrature
 
 
-def check_closed_tail(policy: QuadPolicy = DEFAULT_POLICY, n_points: int = 10,
-                      seed: int = 20260808) -> list[CheckRecord]:
-    rng = random.Random(seed)
+def check_closed_tail(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRecord]:
+    rng = random.Random(_SEED)
     out: list[CheckRecord] = []
-    for _ in range(n_points):
+    for _ in range(_CLOSED_TAIL_POINTS):
         lam = rng.uniform(0.3, 2.0)
         eta = rng.uniform(0.2, 2.0)
         if lam + eta <= 1.05:

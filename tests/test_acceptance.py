@@ -44,7 +44,7 @@ def test_criterion_1_reductions():
 def test_criterion_2_two_path_oracle():
     # series path vs integral path of the extended Gauss function, 1e-8
     t0 = time.perf_counter()
-    records = V.check_two_path(n_points=50)
+    records = V.check_two_path()
     assert len(records) == 50
     _run("criterion 2 (two-path oracle)", records, t0, BUDGETS["two_path"])
 
@@ -61,7 +61,7 @@ def test_criterion_3_integral_representation():
 def test_criterion_4_laplace_kernel():
     # Laplace-transform kernel identity at 1e-7 on 10 random points
     t0 = time.perf_counter()
-    records = V.check_laplace(n_points=10)
+    records = V.check_laplace()
     assert len(records) == 10
     _run("criterion 4 (Laplace kernel)", records, t0, BUDGETS["laplace"])
 
@@ -86,13 +86,13 @@ def test_criterion_6_quadrature_golden():
 def test_criterion_7_counting_exactness():
     # integer equality against brute-force counting, 10^3 abscissae per family
     t0 = time.perf_counter()
-    records = V.check_counting(n_per_family=1000)
+    records = V.check_counting()
     _run("criterion 7 (counting exactness)", records, t0, BUDGETS["counting"])
 
 
 def test_criterion_8_closed_tail():
     # hypergeometric closed form of the power tail vs direct quadrature, 1e-10
     t0 = time.perf_counter()
-    records = V.check_closed_tail(n_points=10)
+    records = V.check_closed_tail()
     assert len(records) == 10
     _run("criterion 8 (closed tail)", records, t0, BUDGETS["closed_tail"])

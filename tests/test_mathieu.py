@@ -200,19 +200,18 @@ def _alt_reference(lam, eta, r2, b, c, k):
             m += 1
 
 
-@pytest.mark.parametrize("lam,eta,k", [(0.7, 0.9, 1.0), (0.7, 0.9, 2.0), (0.3, 0.3, 1.0)])
+@pytest.mark.parametrize("lam,eta,k", [(0.7, 0.9, 1.0), (0.7, 0.9, 2.0), (0.3, 0.3, 1.0),
+                                       (0.3, 0.3, 0.5), (0.05, 0.1, 1.0)])
 def test_alternating_tails_within_error(lam, eta, k):
     # each alternating tail is a difference of two Hurwitz zetas, poles
     # cancelled in closed form; the stated bound of both routes must cover
-    # the reference.  At k(lam+eta) <= 1 only the integral route applies; its
-    # charge for the rounding of lam+1 and eta+1 must not take the counting
-    # weight's 1/(k(lam+eta)-1)
+    # the reference.  The alternating series converges for every lam+eta > 0,
+    # so both routes must also accept k(lam+eta) <= 1, and the integral
+    # route's charge for the rounding of lam+1 and eta+1 must not take the
+    # counting weight's 1/(k(lam+eta)-1)
     params = MathieuParams(lam, eta, 0.8, 0.6, 1.7, PQ0, SequenceSpec.power(1.0, k))
     ref = _alt_reference(lam, eta, 0.8 * 0.8, 0.6, 1.7, k)
-    routes = [mathieu_alt_via_integral]
-    if k * (lam + eta) > 1.0:
-        routes.append(mathieu_alternating_direct)
-    for route in routes:
+    for route in (mathieu_alt_via_integral, mathieu_alternating_direct):
         res = route(params)
         assert res.converged
         assert abs(res.value - ref) <= res.err_est
