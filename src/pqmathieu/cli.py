@@ -39,7 +39,9 @@ TARGET_PARAMS = {
     "bound-alt": ["lam", "eta", "r", "b", "c", "p", "q", "seq"],
 }
 
-# flag spelling for parameters whose python name differs
+# the numeric parameters, in --help order, and the flag spelling of those
+# whose python name differs
+NUMERIC = ("x", "y", "a", "b", "c", "z", "eta", "r", "p", "q", "k", "scale", "lam")
 FLAG_OF = {"lam": "--lambda"}
 
 
@@ -57,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=["plain", "csv", "json"], default="plain")
 
     def add_params(p: argparse.ArgumentParser) -> None:
-        for name in ("x", "y", "a", "b", "c", "z", "eta", "r", "p", "q", "k", "scale"):
-            p.add_argument(f"--{name}", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
+        for name in NUMERIC:
+            p.add_argument(FLAG_OF.get(name, f"--{name}"), dest=name, type=float, default=None)
         p.add_argument("--seq", choices=["n", "n^k", "c*n^k"], default=None)
         p.add_argument("--method", choices=["direct", "integral", "both"], default=None)
 
@@ -195,8 +196,7 @@ def _cell(v) -> str:
 
 
 def _vals_from(ns: argparse.Namespace) -> dict:
-    keys = ("x", "y", "a", "b", "c", "z", "lam", "eta", "r", "p", "q", "k", "scale", "seq")
-    return {k: getattr(ns, k) for k in keys}
+    return {k: getattr(ns, k) for k in (*NUMERIC, "seq")}
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -229,7 +229,7 @@ def cmd_scan(ns: argparse.Namespace) -> int:
     axes = []
     for name, lo, hi, steps in ns.sweep:
         key = "lam" if name == "lambda" else name
-        if key not in ("x", "y", "a", "b", "c", "z", "lam", "eta", "r", "p", "q", "k", "scale"):
+        if key not in NUMERIC:
             raise DomainError(f"cannot sweep parameter {name!r}")
         lo_f, hi_f, n = float(lo), float(hi), int(steps)
         if n < 1:

@@ -4,7 +4,7 @@ The series is sum_{n>=1} F_{p,q}(lam, b; c; -r^2/a_n) / (a_n^lam (a_n+r^2)^eta)
 over a monotone divergent sequence a_n, plus the alternating variant.  Three
 evaluation routes are provided and cross-checked:
 
-* direct summation with an analytic tail completion,
+* direct summation up to a fixed tail start, completed by one analytic tail,
 * the closed integral representation with the counting-function weight
   (evaluated as exact interval sums, so the weight jumps always land on
   panel boundaries),
@@ -22,7 +22,8 @@ whose ratio r^2/(x+r^2) stays at or below 1/2 on the whole integration range
 when r^2 <= a_1 (MathieuParams requires it), so the expansion converges
 uniformly.  Its powers integrate in closed form, so every panel of the
 integral representation is an exact sum over orders, with no quadrature.
-Every power tail beyond the head terms or panels, plain or alternating, is a
+Both routes run once: head terms or panels below one tail start, then one
+tail there.  Every power tail beyond them, plain or alternating, is a
 Hurwitz zeta sum and comes from one primitive (_hurwitz_zeta: Euler-Maclaurin
 with a provable remainder), its exponent carried as an exact pair such as
 lam+eta+m, so that t - 1 keeps its digits as the tails approach divergence.
@@ -372,7 +373,8 @@ class _PowerSums:
 
 
 def _series_tail_start(seq: SequenceSpec, r2: float) -> int:
-    # start the analytic tail where the expansion ratio r^2/(a+r^2) <= 1/9
+    # the one tail start of both routes: r^2/(a+r^2) <= 1/9 puts the tail bound
+    # at rounding level there, so a later start could not mend a miss
     a = 33
     if r2 > 0.0:
         a = max(a, int(math.ceil(seq.inverse(8.0 * r2))) + 1)
@@ -468,64 +470,44 @@ def _inner_policy(policy: QuadPolicy) -> QuadPolicy:
 # direct summation
 
 
-def _check_series_convergence(params: MathieuParams) -> None:
-    seq = params.seq
-    if seq.exponent * (params.lam + params.eta) <= 1.0:
-        raise DivergenceError(
-            f"series diverges: exponent*(lam+eta) = "
-            f"{seq.exponent * (params.lam + params.eta):g} <= 1")
-
-
 def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool,
                     kind: str) -> EvalResult:
-    # the alternating series converges for every lam+eta > 0
-    if not alternating:
-        _check_series_convergence(params)
     seq = params.seq
     lam, eta, r2 = params.lam, params.eta, params.r ** 2
+    # the alternating series converges for every lam+eta > 0
+    if not alternating and seq.exponent * (lam + eta) <= 1.0:
+        raise DivergenceError(
+            f"series diverges: exponent*(lam+eta) = {seq.exponent * (lam + eta):g} <= 1")
     inner = _inner_policy(policy)
-
-    head_terms: list[float] = []
-    head_err = 0.0
-
-    def extend_head(upto: int) -> None:
-        nonlocal head_err
-        for n in range(len(head_terms) + 1, upto):
-            an = seq.value(n)
-            fres = (gauss_2f1_raw(lam, params.b, params.c, -r2 / an, inner) if kind == "classical"
-                    else extended_gauss_integral(params.triple, -r2 / an, params.pq, inner))
-            w = math.exp(-lam * math.log(an)) * (an + r2) ** (-eta)
-            sign = 1.0 if (not alternating or n % 2 == 1) else -1.0
-            head_terms.append(sign * fres.value * w)
-            head_err += fres.err_est * w
-
-    coeffs = _KernelCoeffs(lam, params.b, params.c, params.pq, inner, kind)
     a_start = _series_tail_start(seq, r2)
-
-    s0 = _plus((lam, 0.0), eta)
-    attempts = 0
-    while True:
-        extend_head(a_start)
-        tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2),
-                                     _PowerSums(seq, r2, s0, a_start, alternating))
-        tail_err += head_err
-        value = math.fsum(head_terms) + tail
-        tol = max(policy.abs_tol, policy.rel_tol * abs(value))
-        if tail_err <= tol or attempts >= 3:
-            return EvalResult(value, tail_err, len(head_terms), tail_err <= tol)
-        a_start *= 2
-        attempts += 1
+    terms = []
+    err = 0.0
+    for n in range(1, a_start):
+        an = seq.value(n)
+        fres = (gauss_2f1_raw(lam, params.b, params.c, -r2 / an, inner) if kind == "classical"
+                else extended_gauss_integral(params.triple, -r2 / an, params.pq, inner))
+        w = math.exp(-lam * math.log(an)) * (an + r2) ** (-eta)
+        sign = 1.0 if (not alternating or n % 2 == 1) else -1.0
+        terms.append(sign * fres.value * w)
+        err += fres.err_est * w
+    coeffs = _KernelCoeffs(lam, params.b, params.c, params.pq, inner, kind)
+    tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2),
+                                 _PowerSums(seq, r2, _plus((lam, 0.0), eta), a_start, alternating))
+    value = math.fsum(terms) + tail
+    err += tail_err
+    tol = max(policy.abs_tol, policy.rel_tol * abs(value))
+    return EvalResult(value, err, a_start - 1, err <= tol)
 
 
 def mathieu_direct(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
                    kernel: str = "extended") -> EvalResult:
     """Sum the Mathieu-type series directly.
 
-    Terms up to an adaptive cutoff are evaluated through the kernel's Euler
-    integral; the remainder is completed analytically with the transformed
-    kernel expansion, every term positive.  kernel="classical" replaces the
-    extended kernel by the classical Gauss series (the p = q = 0
-    counterpart).
+    The terms before a fixed tail start A (r^2/(a_A+r^2) <= 1/9, A >= 33)
+    go through the kernel's Euler integral; the rest is completed
+    analytically with the transformed kernel expansion, every term
+    positive.  kernel="classical" replaces the extended kernel by the
+    classical Gauss series (the p = q = 0 counterpart).
     """
     return _mathieu_engine(params, policy, alternating=False, kind=kernel)
 
@@ -575,9 +557,19 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
     s1 = _plus(_plus((alpha, 0.0), beta_), -1.0)  # alpha+beta-1, exactly
     inner = _inner_policy(policy)
     coeffs = _KernelCoeffs(alpha, b, c, pq, inner, kind, betas)
-    n_work = head.n_work
     err = head.err_est
     a_start = _series_tail_start(seq, r2)
+    parts = [head.value]
+    for n in range(first, a_start):
+        if alternating and n % 2 == 0:
+            continue  # parity weight vanishes on even panels: skip exactly
+        w_n = 1.0 if alternating else float(n)
+        val, p_err = _panel(coeffs, s0, r2, seq.value(n), seq.value(n + 1))
+        parts.append(w_n * val)
+        err += w_n * p_err
+
+    # analytic tail over panels N >= a_start
+    sums = _PowerSums(seq, r2, s1, a_start | 1 if alternating else a_start, alternating)
 
     def order_tail(m: int) -> tuple[float, float, float]:
         # panel N of order m integrates to I_N = v_N - v_{N+1} >= 0, v_n =
@@ -588,39 +580,19 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
         if not alternating:
             # Abel summation: sum_{N>=A} N I_N = (A-1) v_A + sum_{N>=A} v_N;
             # v_A charges the rounding of a_A + r^2 and of its power
-            u_a = seq.value(float(a_start)) + r2
-            head_v = (a_start - 1) * u_a ** -sigma
+            head_v = (a_start - 1) * sums.u_a ** -sigma
             t_m += head_v
-            b_m += ((2.0 * sigma + 3.0) * _EPS + abs(lo * math.log(u_a))) * head_v
+            b_m += ((2.0 * sigma + 3.0) * _EPS + abs(lo * math.log(sums.u_a))) * head_v
             major = abs(t_m)
         value = t_m / sigma
         return value, b_m / sigma + (_EPS + abs(lo / sigma)) * abs(value), major / sigma
 
-    attempts = 0
-    computed_until = first
-    head_parts = [head.value]
-    while True:
-        for n in range(computed_until, a_start):
-            if alternating and n % 2 == 0:
-                continue  # parity weight vanishes on even panels: skip exactly
-            w_n = 1.0 if alternating else float(n)
-            val, p_err = _panel(coeffs, s0, r2, seq.value(n), seq.value(n + 1))
-            head_parts.append(w_n * val)
-            err += w_n * p_err
-        computed_until = a_start
-
-        # analytic tail over panels N >= a_start
-        sums = _PowerSums(seq, r2, s1, a_start | 1 if alternating else a_start, alternating)
-        tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), order_tail)
-        n_work += sums.work
-        value = math.fsum(head_parts) + tail
-        total_err = err + tail_err
-        tol = max(policy.abs_tol, policy.rel_tol * abs(value))
-        if total_err <= tol or attempts >= 3:
-            return EvalResult(value, total_err, n_work + coeffs.work,
-                              total_err <= tol and head.converged)
-        a_start *= 2
-        attempts += 1
+    tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), order_tail)
+    value = math.fsum(parts) + tail
+    err += tail_err
+    tol = max(policy.abs_tol, policy.rel_tol * abs(value))
+    return EvalResult(value, err, head.n_work + sums.work + coeffs.work,
+                      err <= tol and head.converged)
 
 
 def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternating: bool,
@@ -644,19 +616,16 @@ def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternatin
                          params.pq, alternating, policy, kernel, betas)
 
 
-def _representation(params: MathieuParams, policy: QuadPolicy, kernel: str,
+def _representation(params: MathieuParams, policy: QuadPolicy,
                     alternating: bool) -> EvalResult:
     # lam * I(lam+1, eta) + eta * I(lam, eta+1); the two kernel expansions
     # (alpha = lam+1 and alpha = lam) share one Beta column
     lam, eta, k = params.lam, params.eta, params.seq.exponent
-    betas = None
-    if kernel == "extended":
-        betas = _BetaColumn(params.c - params.b, params.b, params.pq.swapped(),
-                            _inner_policy(policy))
+    betas = _BetaColumn(params.c - params.b, params.b, params.pq.swapped(), _inner_policy(policy))
     lam1, d1 = _plus((lam, 0.0), 1.0)
     eta1, d2 = _plus((eta, 0.0), 1.0)
-    i1 = cahen_integral(lam1, eta, params, alternating, policy, kernel, betas=betas)
-    i2 = cahen_integral(lam, eta1, params, alternating, policy, kernel, betas=betas)
+    i1 = cahen_integral(lam1, eta, params, alternating, policy, betas=betas)
+    i2 = cahen_integral(lam, eta1, params, alternating, policy, betas=betas)
     # lam+1 and eta+1 arrive rounded by d1, d2: an exponent moved by d moves I
     # by |d| times the mean of |log x| + 1 under the integrand, at most
     # |log a_1| plus twice the mean of log(x/a_1) under the bare power: the
@@ -675,17 +644,17 @@ def _representation(params: MathieuParams, policy: QuadPolicy, kernel: str,
     return EvalResult(value, bound, i1.n_work + i2.n_work, converged)
 
 
-def mathieu_via_integral(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
-                         kernel: str = "extended") -> EvalResult:
+def mathieu_via_integral(params: MathieuParams,
+                         policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Series value through its closed integral representation:
     lam * I(lam+1, eta) + eta * I(lam, eta+1) with the counting weight."""
-    return _representation(params, policy, kernel, alternating=False)
+    return _representation(params, policy, alternating=False)
 
 
-def mathieu_alt_via_integral(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
-                             kernel: str = "extended") -> EvalResult:
+def mathieu_alt_via_integral(params: MathieuParams,
+                             policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Alternating series through its integral representation (parity weight)."""
-    return _representation(params, policy, kernel, alternating=True)
+    return _representation(params, policy, alternating=True)
 
 
 def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,

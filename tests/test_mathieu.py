@@ -16,7 +16,7 @@ from pqmathieu.mathieu import (MathieuParams, SequenceSpec, _hurwitz_zeta, _Kern
                                counting_value, mathieu_alt_via_integral,
                                mathieu_alternating_direct, mathieu_direct,
                                mathieu_via_integral, u_integral)
-from pqmathieu.quadrature import DEFAULT_POLICY, integrate_to_infinity
+from pqmathieu.quadrature import DEFAULT_POLICY, QuadPolicy, integrate_to_infinity
 
 SEQ_N = SequenceSpec.power()
 SEQ_N2 = SequenceSpec.power(1.0, 2.0)
@@ -134,6 +134,22 @@ def test_alternating_bracketing():
     assert all(s <= terms[0] for s in pair_sums)
     alt = mathieu_alternating_direct(params)
     assert pair_sums[-1] < alt.value < terms[0]
+
+
+def test_starved_direct_route_runs_once():
+    # a starved budget leaves the head terms unconverged; the route sums the
+    # 32 head terms below its one tail start and reports the miss, and its
+    # err_est still covers the value at the default budget
+    params = MathieuParams(1.3914331046410342, 1.2856495286586438, 0.725137339803494,
+                           0.6188488361830147, 1.3125508899046214,
+                           PQParams(0.46297174580536277, 0.7231748544083486), SEQ_N)
+    res = mathieu_alternating_direct(params, QuadPolicy(max_evals=104))
+    assert res.n_work == 32
+    assert not res.converged
+    full = mathieu_alternating_direct(params)
+    assert full.converged
+    assert full.value == pytest.approx(0.012962312123558618, rel=1e-12)
+    assert abs(res.value - full.value) <= res.err_est
 
 
 def test_identity_derived_point():
