@@ -2,8 +2,9 @@
 and sweep parameters, with plain / CSV / JSON line output.
 
 Exit codes: 0 success, 1 domain error (a message on stderr names the violated
-precondition), 2 non-convergence or failed checks.  Identical command lines
-produce byte-identical output.
+precondition), 2 non-convergence or failed checks, 64 (EX_USAGE) a command
+line that argparse rejects.  Identical command lines produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ TARGET_PARAMS = {
 # whose python name differs
 NUMERIC = ("x", "y", "a", "b", "c", "z", "eta", "r", "p", "q", "k", "scale", "lam")
 FLAG_OF = {"lam": "--lambda"}
+EX_USAGE = 64  # a malformed command line (sysexits.h), apart from 2: unconverged
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +255,10 @@ def cmd_scan(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _parser().parse_args(argv)
+    try:
+        ns = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EX_USAGE if exc.code else 0
     try:
         if ns.command == "eval":
             return cmd_eval(ns)

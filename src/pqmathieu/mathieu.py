@@ -20,8 +20,13 @@ through the Pfaff-type transformation
 
 whose ratio r^2/(x+r^2) stays at or below 1/2 on the whole integration range
 when r^2 <= a_1 (MathieuParams requires it), so the expansion converges
-uniformly.  Its powers integrate in closed form, so every panel of the
-integral representation is an exact sum over orders, with no quadrature.
+uniformly.  The representation lam I(lam+1, eta) + eta I(lam, eta+1) is one
+integral, of -f' for f the s = lam, t = eta kernel power above: with
+lam (lam+1)_m = (lam)_m (lam+m) its order m is kappa_m (lam+eta+m)
+(x+r^2)^-(lam+eta+m+1), so panel [a_N, a_(N+1)] integrates it exactly to
+kappa_m r^(2m) (v_N - v_(N+1)), v_n = (a_n+r^2)^-(lam+eta+m): every panel
+is a sum over orders, with no quadrature.  A single I(alpha, beta) has the
+same form at coefficients kappa_m/sigma_m, sigma_m = alpha+beta-1+m.
 Both routes run once: head terms or panels below one tail start, then one
 tail there.  Every power tail beyond them, plain or alternating, is a
 Hurwitz zeta sum and comes from one primitive (_hurwitz_zeta: Euler-Maclaurin
@@ -171,15 +176,17 @@ class _KernelCoeffs:
 
     kappa_m = (alpha)_m/m! * B(c-b+m, b; q, p) / B(b, c-b) for the extended
     kernel; the classical kernel uses the exact ratio (c-b)_m/(c)_m, which
-    is 1 for the constant kernel 2F1(alpha, 0; c; z) = 1.  The Beta column
-    may be shared with another expansion at the same (b, c, p, q) and
-    policy; work counts the blocks this expansion computed.
+    is 1 for the constant kernel 2F1(alpha, 0; c; z) = 1.  Given an
+    exponent pair sigma (_plus), the coefficients are kappa_m/(sigma+m),
+    the low part dropped from the divisor charged to their errors; work
+    counts the Beta blocks computed.
     """
 
     def __init__(self, alpha: float, b: float, c: float, pq: PQParams,
-                 policy: QuadPolicy, kind: str, betas: _BetaColumn | None = None):
+                 policy: QuadPolicy, kind: str, sigma: tuple[float, float] | None = None):
         self.alpha, self.b, self.c = alpha, b, c
         self.kind = kind
+        self.sigma = sigma
         self.values: list[float] = []
         self.err_values: list[float] = []
         self.work = 0
@@ -187,9 +194,7 @@ class _KernelCoeffs:
         self._ratio = 1.0   # (c-b)_m / (c)_m, classical only
         if kind == "extended":
             self._norm = beta_fn(b, c - b)
-            if betas is None:
-                betas = _BetaColumn(c - b, b, pq.swapped(), policy)
-            self._betas = betas
+            self._betas = _BetaColumn(c - b, b, pq.swapped(), policy)
 
     def grow(self, m_count: int) -> None:
         if len(self.values) >= m_count:
@@ -201,12 +206,16 @@ class _KernelCoeffs:
         while len(self.values) < m_count:
             m = len(self.values)
             if self.kind == "classical":
-                self.values.append(self._pf * self._ratio)
-                self.err_values.append(0.0)
+                value, err = self._pf * self._ratio, 0.0
                 self._ratio *= (self.c - self.b + m) / (self.c + m)
             else:
-                self.values.append(self._pf * self._betas.values[m] / self._norm)
-                self.err_values.append(self._pf * self._betas.errs[m] / self._norm)
+                value = self._pf * self._betas.values[m] / self._norm
+                err = self._pf * self._betas.errs[m] / self._norm
+            if self.sigma is not None:
+                sig, lo = _plus(self.sigma, float(m))
+                value, err = value / sig, err / sig + (_EPS + abs(lo / sig)) * abs(value / sig)
+            self.values.append(value)
+            self.err_values.append(err)
             self._pf *= (self.alpha + m) / (m + 1.0)
 
 
@@ -381,12 +390,15 @@ def _series_tail_start(seq: SequenceSpec, r2: float) -> int:
     return a
 
 
-def _orders(alpha: float, w: float, target: float) -> tuple[int, float]:
+def _orders(alpha: float, w: float, target: float,
+            sigma: float = math.inf) -> tuple[int, float]:
     # expansion orders m kept at ratio w (w^m/(1-w) <= target, 3..140) and
     # the factor 1/(1-q) by which |kappa_m| w^m bounds all omitted orders:
     # |kappa_{j+1}/kappa_j| w <= (|alpha|+j)/(j+1) w (the Beta or (c-b)_j
     # ratio is <= 1), which for every j >= m stays below
-    # q = w max(1, (|alpha|+m)/(m+1)); m grows while q > 1/2
+    # q = w max(1, (|alpha|+m)/(m+1)); m grows while q > 1/2.  Terms that
+    # also grow by sigma_(j+1)/sigma_j, sigma_j = sigma+j > 0, take that
+    # ratio at j = m into q
     if w <= 0.0:
         return 2, 1.0
     m = min(max(int(math.ceil(math.log(target * (1.0 - w)) / math.log(w))) + 1, 3), 140)
@@ -394,6 +406,7 @@ def _orders(alpha: float, w: float, target: float) -> tuple[int, float]:
     while q > 0.5 and m < 140:
         m += 1
         q = w * max(1.0, (abs(alpha) + m) / (m + 1.0))
+    q *= 1.0 + 1.0 / (sigma + m)
     return m, (1.0 / (1.0 - q) if q < 1.0 else math.inf)
 
 
@@ -419,41 +432,42 @@ def _power_tail(coeffs: _KernelCoeffs, r2: float, w: float,
     return tail, err
 
 
-def _panel(coeffs: _KernelCoeffs, s0: float, r2: float, lo: float,
+def _panel(coeffs: _KernelCoeffs, s1: tuple[float, float], r2: float, lo: float,
            hi: float) -> tuple[float, float]:
-    """Integral over [lo, hi] of sum_m kappa_m r^(2m) (x+r^2)^-(s0+m), with
-    its error bound.
+    """sum_m c_m r^(2m) (v(lo) - v(hi)), v(x) = (x+r^2)^-(s1+m), with its
+    error bound: the integral over [lo, hi] of -f' for
+    f = sum_m c_m r^(2m) (x+r^2)^-(s1+m), c_m the coefficients.
 
-    Every order integrates exactly: with u = lo+r^2, w = r^2/u and
-    L = -log1p((hi-lo)/u), order m gives u^(1-s0) kappa_m w^m g_m with
-    g_m = -expm1((s0+m-1) L)/(s0+m-1), which keeps its digits on thin panels
-    where the difference of powers u^(1-s) - (u+hi-lo)^(1-s) cancels.  g_m
-    falls with m, so the omitted orders add |kappa_m| w^m g_m / (1-q) at the
-    first one (_orders); the coefficient errors are integrated the same way.
-    Rounding: eps (4m+16) |term| covers w^m, kappa_m (3m) and g_m, and
-    eps |log u| (1+|s0|) |term| the power u^(1-s0) at a rounded exponent.
+    With u = lo+r^2, w = r^2/u and L = -log1p((hi-lo)/u), order m is
+    u^-s1 c_m w^m e_m, e_m = -expm1((s1+m) L), which keeps its digits on
+    thin panels where the difference of the two powers cancels.  e_m grows
+    with m by at most sigma_(m+1)/sigma_m, sigma_m = s1+m, so the omitted
+    orders add |c_m| w^m e_m / (1-q) at the first one (_orders, which takes
+    that growth into q unless the coefficients carry the 1/sigma_m that
+    cancels it); the coefficient errors are integrated the same way.
+    Rounding: eps (4m+16) |term| covers w^m, c_m (3m) and e_m, and
+    eps |log u| (1+s1) |term| the power u^-s1, the low part of s1 dropped.
     """
     u = lo + r2
     w = r2 / u
     big_l = -math.log1p((hi - lo) / u)
-    m_n, omit = _orders(coeffs.alpha, w, 1e-15)
+    s, s_lo = s1
+    m_n, omit = _orders(coeffs.alpha, w, 1e-15, s if coeffs.sigma is None else math.inf)
     coeffs.grow(m_n + 1)
-    log_term = abs(math.log(u)) * (1.0 + abs(s0))
+    log_term = abs(math.log(u)) * (1.0 + s + abs(s_lo) / _EPS)
     terms = []
     rnd = 0.0
     coef_err = 0.0
     wpow = 1.0
     for m in range(m_n):
-        t = s0 + m - 1.0
-        wg = wpow * (-math.expm1(t * big_l) / t if t != 0.0 else -big_l)
-        term = coeffs.values[m] * wg
+        we = wpow * -math.expm1((s + m) * big_l)
+        term = coeffs.values[m] * we
         terms.append(term)
         rnd += (4.0 * m + 16.0 + log_term) * abs(term)
-        coef_err += coeffs.err_values[m] * wg
+        coef_err += coeffs.err_values[m] * we
         wpow *= w
-    t = s0 + m_n - 1.0
-    trunc = omit * abs(coeffs.values[m_n]) * wpow * -math.expm1(t * big_l) / t
-    scale = u ** (1.0 - s0)
+    trunc = omit * abs(coeffs.values[m_n]) * wpow * -math.expm1((s + m_n) * big_l)
+    scale = u ** -s
     return scale * math.fsum(terms), scale * (_EPS * rnd + coef_err + trunc)
 
 
@@ -527,36 +541,25 @@ def mathieu_alternating_direct(params: MathieuParams, policy: QuadPolicy = DEFAU
 # integral representation with the counting weight
 
 
-def _check_weighted_convergence(alpha: float, beta_: float, seq: SequenceSpec,
-                                alternating: bool) -> None:
-    # order m of the kernel expansion integrates panel N to v_N - v_(N+1) >= 0,
-    # v_n = (a_n + r^2)^-sigma / sigma, sigma = alpha+beta+m-1; the parity
-    # weight keeps the odd N, whose sum stays below v_1 whenever
-    # alpha+beta > 1, whatever k
-    k = seq.exponent
-    if alternating:
-        if alpha + beta_ <= 1.0:
-            raise DivergenceError(
-                f"alternating weighted integral diverges: alpha+beta = "
-                f"{alpha + beta_:g} <= 1")
-    elif alpha + beta_ <= 1.0 + 1.0 / k:
-        raise DivergenceError(
-            f"weighted integral diverges: alpha+beta = {alpha + beta_:g} "
-            f"<= 1 + 1/k = {1.0 + 1.0 / k:g}")
+def _check_weighted_convergence(s1: float, seq: SequenceSpec, alternating: bool) -> None:
+    # the tails sum v_n = (a_n + r^2)^-(s1+m): the parity weight keeps the
+    # alternating sum over n >= A, which converges whenever s1 > 0, the
+    # counting weight the plain sum, which needs s1 > 1/k (_PowerSums tests
+    # the exact exponent)
+    floor = 0.0 if alternating else 1.0 / seq.exponent
+    if s1 <= floor:
+        raise DivergenceError(f"weighted integral diverges: tail exponent {s1:g} <= {floor:g}")
 
 
-def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
-                  b: float, c: float, pq: PQParams, alternating: bool,
-                  policy: QuadPolicy, kind: str,
-                  betas: _BetaColumn | None = None, first: int = 1,
+def _cahen_engine(coeffs: _KernelCoeffs, s1: tuple[float, float], seq: SequenceSpec,
+                  r2: float, alternating: bool, policy: QuadPolicy, first: int = 1,
                   head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
-    # panels n < first are already summed, weighted, in head
-    _check_weighted_convergence(alpha, beta_, seq, alternating)
-    r2 = r * r
-    s0 = alpha + beta_
-    s1 = _plus(_plus((alpha, 0.0), beta_), -1.0)  # alpha+beta-1, exactly
-    inner = _inner_policy(policy)
-    coeffs = _KernelCoeffs(alpha, b, c, pq, inner, kind, betas)
+    # the integral over (a_first, inf) of -f' against the weight, f the
+    # expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m) with c_m from coeffs:
+    # panel N of order m integrates to c_m r^(2m) (v_N - v_(N+1)),
+    # v_n = (a_n+r^2)^-(s1+m); panels n < first are already summed,
+    # weighted, in head
+    _check_weighted_convergence(s1[0], seq, alternating)
     err = head.err_est
     a_start = _series_tail_start(seq, r2)
     parts = [head.value]
@@ -564,30 +567,26 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
         if alternating and n % 2 == 0:
             continue  # parity weight vanishes on even panels: skip exactly
         w_n = 1.0 if alternating else float(n)
-        val, p_err = _panel(coeffs, s0, r2, seq.value(n), seq.value(n + 1))
+        val, p_err = _panel(coeffs, s1, r2, seq.value(n), seq.value(n + 1))
         parts.append(w_n * val)
         err += w_n * p_err
 
-    # analytic tail over panels N >= a_start
+    # analytic tail over panels N >= a_start: the parity weight keeps the
+    # odd N, sum_{n>=A|1} (-1)^(n+1) v_n
     sums = _PowerSums(seq, r2, s1, a_start | 1 if alternating else a_start, alternating)
 
     def order_tail(m: int) -> tuple[float, float, float]:
-        # panel N of order m integrates to I_N = v_N - v_{N+1} >= 0, v_n =
-        # (a_n + r^2)^-sigma / sigma, sigma = s0+m-1 (1/sigma drops lo); the
-        # parity weight keeps the odd N >= A: sum_{n>=A|1} (-1)^(n+1) v_n
+        # Abel summation: sum_{N>=A} N (v_N - v_(N+1)) = (A-1) v_A + sum_{N>=A} v_N;
+        # v_A charges the rounding of a_A + r^2 and of its power
         sigma, lo = _plus(s1, float(m))
-        t_m, b_m, major = sums(m)
-        if not alternating:
-            # Abel summation: sum_{N>=A} N I_N = (A-1) v_A + sum_{N>=A} v_N;
-            # v_A charges the rounding of a_A + r^2 and of its power
-            head_v = (a_start - 1) * sums.u_a ** -sigma
-            t_m += head_v
-            b_m += ((2.0 * sigma + 3.0) * _EPS + abs(lo * math.log(sums.u_a))) * head_v
-            major = abs(t_m)
-        value = t_m / sigma
-        return value, b_m / sigma + (_EPS + abs(lo / sigma)) * abs(value), major / sigma
+        t_m, b_m, _ = sums(m)
+        head_v = (a_start - 1) * sums.u_a ** -sigma
+        t_m += head_v
+        b_m += ((2.0 * sigma + 3.0) * _EPS + abs(lo * math.log(sums.u_a))) * head_v
+        return t_m, b_m, abs(t_m)
 
-    tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), order_tail)
+    tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2),
+                                 sums if alternating else order_tail)
     value = math.fsum(parts) + tail
     err += tail_err
     tol = max(policy.abs_tol, policy.rel_tol * abs(value))
@@ -596,8 +595,7 @@ def _cahen_engine(alpha: float, beta_: float, seq: SequenceSpec, r: float,
 
 
 def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternating: bool,
-                   policy: QuadPolicy = DEFAULT_POLICY, kernel: str = "extended", *,
-                   betas: _BetaColumn | None = None) -> EvalResult:
+                   policy: QuadPolicy = DEFAULT_POLICY, kernel: str = "extended") -> EvalResult:
     """Weighted tail integral of the kernel against the counting function.
 
     Computes the integral over (a_1, inf) of
@@ -606,48 +604,33 @@ def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternatin
     (alternating).  Evaluated as a sum of per-interval integrals whose
     boundaries are exactly the sequence points, plus an analytic tail.  Each
     interval integrates the kernel expansion term by term in closed form (no
-    quadrature); its error bound adds a stated rounding bound, the omitted
-    expansion orders and the coefficient errors.  The first slot moves the
-    kernel parameter and the x power together.  betas
-    lets two integrals at the same params and policy share the extended-Beta
-    column B(c-b+m, b; q, p) of their kernel expansions.
+    quadrature), at coefficients kappa_m/sigma_m, sigma_m = alpha+beta-1+m;
+    its error bound adds a stated rounding bound, the omitted expansion
+    orders and the coefficient errors.  The first slot moves the kernel
+    parameter and the x power together.
     """
-    return _cahen_engine(alpha, beta_, params.seq, params.r, params.b, params.c,
-                         params.pq, alternating, policy, kernel, betas)
+    s1 = _plus(_plus((alpha, 0.0), beta_), -1.0)  # alpha+beta-1, exactly
+    coeffs = _KernelCoeffs(alpha, params.b, params.c, params.pq, _inner_policy(policy),
+                           kernel, s1)
+    return _cahen_engine(coeffs, s1, params.seq, params.r * params.r, alternating, policy)
 
 
 def _representation(params: MathieuParams, policy: QuadPolicy,
                     alternating: bool) -> EvalResult:
-    # lam * I(lam+1, eta) + eta * I(lam, eta+1); the two kernel expansions
-    # (alpha = lam+1 and alpha = lam) share one Beta column
-    lam, eta, k = params.lam, params.eta, params.seq.exponent
-    betas = _BetaColumn(params.c - params.b, params.b, params.pq.swapped(), _inner_policy(policy))
-    lam1, d1 = _plus((lam, 0.0), 1.0)
-    eta1, d2 = _plus((eta, 0.0), 1.0)
-    i1 = cahen_integral(lam1, eta, params, alternating, policy, betas=betas)
-    i2 = cahen_integral(lam, eta1, params, alternating, policy, betas=betas)
-    # lam+1 and eta+1 arrive rounded by d1, d2: an exponent moved by d moves I
-    # by |d| times the mean of |log x| + 1 under the integrand, at most
-    # |log a_1| plus twice the mean of log(x/a_1) under the bare power: the
-    # counting weight leaves x^(1/k-s0), mean k/(k(lam+eta)-1); the parity
-    # weight only cuts x^-s0 into panels, mean 1/(lam+eta)
-    if alternating:
-        spread = 2.0 / (lam + eta)
-    else:
-        spread = 2.0 * k / max(k * (lam + eta) - 1.0, _EPS)
-    shift = 1.0 + abs(math.log(params.seq.a1)) + spread
-    value = lam * i1.value + eta * i2.value
-    bound = lam * (i1.err_est + abs(d1) * shift * abs(i1.value)) \
-        + eta * (i2.err_est + abs(d2) * shift * abs(i2.value))
-    tol = max(policy.abs_tol, policy.rel_tol * abs(value))
-    converged = i1.converged and i2.converged and bound <= tol
-    return EvalResult(value, bound, i1.n_work + i2.n_work, converged)
+    # lam I(lam+1, eta) + eta I(lam, eta+1) as one integral of -f', f the
+    # summand itself: the expansion at kappa_m(lam) and the exponent pair
+    # lam+eta of the direct route
+    coeffs = _KernelCoeffs(params.lam, params.b, params.c, params.pq, _inner_policy(policy),
+                           "extended")
+    return _cahen_engine(coeffs, _plus((params.lam, 0.0), params.eta), params.seq,
+                         params.r * params.r, alternating, policy)
 
 
 def mathieu_via_integral(params: MathieuParams,
                          policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Series value through its closed integral representation:
-    lam * I(lam+1, eta) + eta * I(lam, eta+1) with the counting weight."""
+    lam * I(lam+1, eta) + eta * I(lam, eta+1) with the counting weight,
+    evaluated as the one integral of -f' against it (module docstring)."""
     return _representation(params, policy, alternating=False)
 
 
@@ -673,16 +656,16 @@ def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
     """
     if not (r > 0.0):
         raise DomainError("u_integral requires r > 0")
-    _check_weighted_convergence(lam, eta, seq, False)
     r2, inner = r * r, _inner_policy(policy)
+    s1 = _plus(_plus((lam, 0.0), eta), -1.0)
     power = lambda x, dl, dh: math.exp(-lam * math.log(x)) * (x + r2) ** (-eta)
     near = [integrate_finite_xc(power, seq.value(n), seq.value(n + 1), inner)  # a_n < r^2
             for n in range(1, counting_value(seq, math.nextafter(r2, 0.0)) + 1)]
     head = EvalResult(math.fsum(n * q.value for n, q in enumerate(near, 1)),
                       math.fsum(n * q.err_est for n, q in enumerate(near, 1)),
                       sum(q.n_work for q in near), all(q.converged for q in near))
-    return _cahen_engine(lam, eta, seq, r, 0.0, 1.0, PQParams(), False, policy, "classical",
-                         first=len(near) + 1, head=head)
+    coeffs = _KernelCoeffs(lam, 0.0, 1.0, PQParams(), inner, "classical", s1)
+    return _cahen_engine(coeffs, s1, seq, r2, False, policy, first=len(near) + 1, head=head)
 
 
 def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,

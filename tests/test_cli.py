@@ -73,6 +73,23 @@ def test_non_convergence_exit_code():
     assert "converged=false" in out.stdout
 
 
+def test_usage_errors_exit_64():
+    # a command line argparse rejects is EX_USAGE, apart from 2 (unconverged)
+    out = run_cli("eval", "--target", "mathieu", "--bogus", "1")
+    assert out.returncode == 64
+    assert out.stdout == ""
+    assert "unrecognized arguments: --bogus" in out.stderr
+    out = run_cli()
+    assert out.returncode == 64
+    assert "required: command" in out.stderr
+
+
+def test_help_exits_0():
+    out = run_cli("eval", "--help")
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: pqmathieu eval")
+
+
 def test_byte_identical_reruns():
     args = ("eval", "--target", "gauss", "--a", "1.3", "--b", "0.8", "--c", "2.1",
             "--z", "-0.7", "--p", "0.4", "--q", "0.2", "--output", "json")

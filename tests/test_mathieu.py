@@ -163,12 +163,20 @@ def test_identity_derived_point():
 
 
 def test_identity_addend_order_invariance():
+    # lam I(lam+1, eta) + eta I(lam, eta+1) from the two public integrals is
+    # the representation that the integral routes evaluate as one integral;
+    # the public calls integrate at the rounded lam+1 and eta+1, which moves
+    # the sum little here; near the divergence edge the two differ by more
     params = MathieuParams(1.2, 1.2, 0.7, 1.0, 2.0, PQParams(0.2, 0.2), SEQ_N)
-    i1 = cahen_integral(params.lam + 1.0, params.eta, params, False)
-    i2 = cahen_integral(params.lam, params.eta + 1.0, params, False)
-    first = params.lam * i1.value + params.eta * i2.value
-    swapped = params.eta * i2.value + params.lam * i1.value
-    assert first == swapped  # float addition is commutative
+    lam, eta = params.lam, params.eta
+    for alternating, route in ((False, mathieu_via_integral), (True, mathieu_alt_via_integral)):
+        i1 = cahen_integral(lam + 1.0, eta, params, alternating)
+        i2 = cahen_integral(lam, eta + 1.0, params, alternating)
+        first = lam * i1.value + eta * i2.value
+        swapped = eta * i2.value + lam * i1.value
+        assert first == swapped  # float addition is commutative
+        merged = route(params)
+        assert abs(first - merged.value) <= lam * i1.err_est + eta * i2.err_est + merged.err_est
 
 
 def test_cahen_count_oracle():
@@ -179,23 +187,30 @@ def test_cahen_count_oracle():
     assert classical.value == pytest.approx(res.value, rel=1e-9)
 
 
-def _alt_reference(lam, eta, r2, b, c, k):
-    # sum_{n>=1} (-1)^(n-1) 2F1(lam, b; c; -r^2/a_n) / (a_n^lam (a_n+r^2)^eta),
+def _reference(lam, eta, r2, b, c, k, alternating=True):
+    # sum_{n>=1} (+-1)^(n-1) 2F1(lam, b; c; -r^2/a_n) / (a_n^lam (a_n+r^2)^eta),
     # a_n = n^k, at 40 digits: terms n < 12 directly; beyond, the Pfaff
     # expansion sum_m (lam)_m/m! (c-b)_m/(c)_m r^(2m) (a_n+r^2)^-(lam+eta+m)
     # and the binomial series of (n^k+r^2)^-s in r^2/n^k turn every order
-    # into alternating Hurwitz sums -2^-t [zeta(t, 6) - zeta(t, 6.5)] over
-    # n >= 12, t = k(lam+eta+l)
+    # into Hurwitz sums over n >= 12, t = k(lam+eta+l): zeta(t, 12) for the
+    # plain series, -2^-t [zeta(t, 6) - zeta(t, 6.5)] for the alternating
+    # one, whose limit at the poles t = 1 is -[psi(6.5) - psi(6)]/2
     with mp.workdps(40):
         lam, eta, r2, b, c, k = (mp.mpf(v) for v in (lam, eta, r2, b, c, k))
-        head = mp.fsum((-1) ** (n - 1) * mp.hyp2f1(lam, b, c, -r2 / n ** k)
+        sign = -1 if alternating else 1
+        head = mp.fsum(sign ** (n - 1) * mp.hyp2f1(lam, b, c, -r2 / n ** k)
                        / (n ** (k * lam) * (n ** k + r2) ** eta) for n in range(1, 12))
         zetas = {}
 
         def z(l):
             if l not in zetas:
                 t = k * (lam + eta + l)
-                zetas[l] = -2 ** -t * (mp.zeta(t, 6) - mp.zeta(t, mp.mpf(6.5)))
+                if not alternating:
+                    zetas[l] = mp.zeta(t, 12)
+                elif t == 1:
+                    zetas[l] = -(mp.digamma(mp.mpf(6.5)) - mp.digamma(6)) / 2
+                else:
+                    zetas[l] = -2 ** -t * (mp.zeta(t, 6) - mp.zeta(t, mp.mpf(6.5)))
             return zetas[l]
 
         tail, kappa, m, small = mp.mpf(0), mp.mpf(1), 0, mp.mpf(10) ** -45
@@ -217,20 +232,49 @@ def _alt_reference(lam, eta, r2, b, c, k):
 
 
 @pytest.mark.parametrize("lam,eta,k", [(0.7, 0.9, 1.0), (0.7, 0.9, 2.0), (0.3, 0.3, 1.0),
-                                       (0.3, 0.3, 0.5), (0.05, 0.1, 1.0)])
+                                       (0.3, 0.3, 0.5), (0.05, 0.1, 1.0), (0.5, 0.5, 1.0),
+                                       (0.25, 0.25, 2.0)])
 def test_alternating_tails_within_error(lam, eta, k):
     # each alternating tail is a difference of two Hurwitz zetas, poles
     # cancelled in closed form; the stated bound of both routes must cover
     # the reference.  The alternating series converges for every lam+eta > 0,
-    # so both routes must also accept k(lam+eta) <= 1, and the integral
-    # route's charge for the rounding of lam+1 and eta+1 must not take the
-    # counting weight's 1/(k(lam+eta)-1)
+    # so both routes must also accept k(lam+eta) <= 1; at k(lam+eta) = 1 the
+    # first tail exponent is exactly 1, where _decay_integral takes its limit
     params = MathieuParams(lam, eta, 0.8, 0.6, 1.7, PQ0, SequenceSpec.power(1.0, k))
-    ref = _alt_reference(lam, eta, 0.8 * 0.8, 0.6, 1.7, k)
+    ref = _reference(lam, eta, 0.8 * 0.8, 0.6, 1.7, k)
     for route in (mathieu_alt_via_integral, mathieu_alternating_direct):
         res = route(params)
         assert res.converged
         assert abs(res.value - ref) <= res.err_est
+
+
+@pytest.mark.parametrize("lam,eta,k", [(0.8, 0.203, 1.0), (0.4, 0.1015, 2.0), (0.7, 0.9, 1.0)])
+def test_plain_series_at_the_divergence_edge(lam, eta, k):
+    # k(lam+eta) = 1.003 (the third point is a control): the tails decay
+    # like n^-0.003.  Both routes must cover the reference, and the integral
+    # route, one integral at the direct route's exact exponent pair lam+eta,
+    # must state no more than twice the direct route's error
+    params = MathieuParams(lam, eta, 0.75, 0.8, 2.2, PQ0, SequenceSpec.power(1.0, k))
+    ref = _reference(lam, eta, 0.75 * 0.75, 0.8, 2.2, k, alternating=False)
+    direct, integral = mathieu_direct(params), mathieu_via_integral(params)
+    for res in (direct, integral):
+        assert res.converged
+        assert abs(res.value - ref) <= res.err_est
+    assert integral.err_est <= 2.0 * direct.err_est
+
+
+def test_underflowing_r2_leaves_zeta_values():
+    # r^2 = 1e-340 underflows to 0, so the expansion keeps order 0 alone
+    # (_orders at w = 0) and the kernel is 1: the series are zeta(2) and
+    # its alternating counterpart, pi^2/6 and pi^2/12
+    params = MathieuParams(1.0, 1.0, 1e-170, 1.0, 2.0, PQ0, SEQ_N)
+    assert params.r * params.r == 0.0
+    for route, want in ((mathieu_direct, mp.pi ** 2 / 6), (mathieu_via_integral, mp.pi ** 2 / 6),
+                        (mathieu_alternating_direct, mp.pi ** 2 / 12),
+                        (mathieu_alt_via_integral, mp.pi ** 2 / 12)):
+        res = route(params)
+        assert res.converged
+        assert abs(res.value - want) <= res.err_est
 
 
 def test_cahen_alternating_skips_even_panels():
@@ -386,8 +430,9 @@ def test_power_tail_needs_exact_k_sigma_above_one():
 def _u_panel(alpha, s0, r2, lo, hi):
     # the u_integral expansion (b = 0) over one panel, with its 40-digit
     # Gauss-Legendre reference
-    coeffs = _KernelCoeffs(alpha, 0.0, 1.0, PQ0, DEFAULT_POLICY, "classical")
-    value, err = _panel(coeffs, s0, r2, lo, hi)
+    s1 = _plus((s0, 0.0), -1.0)
+    coeffs = _KernelCoeffs(alpha, 0.0, 1.0, PQ0, DEFAULT_POLICY, "classical", s1)
+    value, err = _panel(coeffs, s1, r2, lo, hi)
     with mp.workdps(40):
         ref = float(mp.quad(lambda x: x ** -alpha * (x + r2) ** (alpha - s0), [lo, hi],
                             method="gauss-legendre"))
