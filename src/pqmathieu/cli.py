@@ -24,7 +24,6 @@ from .mathieu import (MathieuParams, SequenceSpec, bound_mathieu_alt_rhs, bound_
                       mathieu_alt_via_integral, mathieu_alternating_direct, mathieu_direct,
                       mathieu_via_integral, u_integral)
 from .quadrature import QuadPolicy
-from .results import EvalResult
 from .verification import SUITES
 
 TARGETS = ["beta", "gauss", "kummer", "mathieu", "mathieu-alt", "u-integral", "bound", "bound-alt"]
@@ -161,7 +160,7 @@ def _run(target: str, method: str | None, vals: dict, built: tuple,
         results.append(("integral", u_integral(seq, vals["lam"], vals["eta"], vals["r"], policy)))
     else:  # bound, bound-alt
         fn = bound_mathieu_alt_rhs if target == "bound-alt" else bound_mathieu_rhs
-        results.append(("bound_rhs", EvalResult(fn(obj, policy), 0.0, 0, True)))
+        results.append(("bound_rhs", fn(obj, policy)))
     cols = {name: seq.label if name == "seq" else vals.get(name)
             for name in TARGET_PARAMS[target]}
     return [{"target": target, "method": name, **cols, "value": res.value,

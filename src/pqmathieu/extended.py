@@ -64,11 +64,14 @@ def envelope_factor(pq: PQParams) -> float:
     return pq.envelope
 
 
-def _beta_log_weight(x: float, y: float, pq: PQParams):
+def _beta_log_weight(x: float, y: float, pq: PQParams, a: float = 0.0, z: float = 0.0):
+    # log of t^(x-1) (1-t)^(y-1) (1-zt)^(-a) e^(-p/t - q/(1-t))
     p, q = pq.p, pq.q
 
     def lg(t: float, dlo: float, dhi: float) -> float:
         lf = 0.0
+        if a != 0.0:
+            lf -= a * math.log1p(-z * t)
         if x != 1.0:
             lf += (x - 1.0) * math.log(dlo)
         if y != 1.0:
@@ -153,22 +156,8 @@ def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
     if not z < 1.0:
         raise DomainError(f"extended_gauss_integral requires z < 1, got z={z}")
     a, b, c = triple.a, triple.b, triple.c
-    p, q = pq.p, pq.q
-    bx, by = b, c - b
-
-    def lg(t: float, dlo: float, dhi: float) -> float:
-        lf = -a * math.log1p(-z * t)
-        if bx != 1.0:
-            lf += (bx - 1.0) * math.log(dlo)
-        if by != 1.0:
-            lf += (by - 1.0) * math.log(dhi)
-        if p != 0.0:
-            lf -= p / dlo
-        if q != 0.0:
-            lf -= q / dhi
-        return lf
-
-    res = integrate_finite_xc(lg, 0.0, 1.0, policy, log_space=True)
+    res = integrate_finite_xc(_beta_log_weight(b, c - b, pq, a, z), 0.0, 1.0, policy,
+                              log_space=True)
     norm = beta(b, c - b)
     return EvalResult(res.value / norm, res.err_est / norm, res.n_work, res.converged)
 
@@ -212,7 +201,6 @@ def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
 
 
 def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
-                          n_max: int | None = None,
                           policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Extended Gauss function by its defining series (the verification path).
 
@@ -221,19 +209,18 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
     factor times the classical 2F1 tail at |z|, which bounds the extended
     coefficients term by term.  Converged means the tail plus the
     accumulated coefficient errors meet the tolerance and every coefficient
-    used converged.
+    used converged.  The series stops, unconverged, at a term cap derived
+    from z and rel_tol: enough terms for |z|^n to fall below
+    max(rel_tol/100, 1e-15), and 40 to 1000 of them.
     """
     if not abs(z) < 1.0:
         raise DomainError(f"extended_gauss_series requires |z| < 1, got z={z}")
     a, b, c = triple.a, triple.b, triple.c
     norm = beta(b, c - b)
-    if n_max is None:
-        floor_target = max(policy.rel_tol * 1e-2, 1e-15)
-        if abs(z) > 0.0:
-            n_max = int(math.log(floor_target) / math.log(abs(z))) + 24
-        else:
-            n_max = 4
-        n_max = min(max(n_max, 40), 1000)
+    n_cap = 4
+    if abs(z) > 0.0:
+        n_cap = int(math.log(max(policy.rel_tol * 1e-2, 1e-15)) / math.log(abs(z))) + 24
+    n_cap = min(max(n_cap, 40), 1000)
     major = pq.envelope  # envelope * (a)_n (b)_n / ((c)_n n!) |z|^n
 
     def majorant(n: int, term: float) -> float | None:
@@ -245,7 +232,7 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
         return major / (1.0 - rho) if rho < 1.0 else None
 
     return _beta_series(_BetaColumn(b, c - b, pq, policy), norm,
-                        lambda n: (a + n) * z / (n + 1.0), majorant, n_max)
+                        lambda n: (a + n) * z / (n + 1.0), majorant, n_cap)
 
 
 def kummer_coefficient_table(b: float, c: float, pq: PQParams, n_terms: int,

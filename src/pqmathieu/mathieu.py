@@ -312,9 +312,11 @@ class _PowerSums:
             self.c = 0.0
         self.work = 0
         self._z: dict[int, tuple[float, float]] = {}
+        self._z_sum(0)  # the smallest exponent: raises if the sum diverges
 
     def _z_sum(self, l: int) -> tuple[float, float]:
-        # Z at t = k (s0+l), memoised
+        # Z at t = k (s0+l), memoised; the one divergence rule asks t > 1 of
+        # the plain sum and t > 0 of the alternating one, exactly
         hi, lo = _plus(self.s0, float(l))
         k = self.seq.exponent
         if k != 1.0:
@@ -325,9 +327,11 @@ class _PowerSums:
             pn, pd = (k * hi).as_integer_ratio()
             lo = (kn * hn * pd - pn * kd * hd) / (kd * hd * pd) + k * lo
             hi = k * hi
+        floor = 0.0 if self.alternating else 1.0
+        if not (hi - floor) + lo > 0.0:
+            raise DivergenceError(
+                f"power tail diverges: exponent {hi:.17g} {lo:+.3g} <= {floor:g}")
         e = (hi - 1.0) + lo
-        if not (e > 0.0 or self.alternating):
-            raise DivergenceError(f"power tail diverges: exponent {hi:.17g} {lo:+.3g} <= 1")
         # zeta less its pole, then the pole: the integral of x^-t over (y, inf),
         # or over (y, y + 1/2) for the alternating difference, whose sign is
         # that of its first term
@@ -488,12 +492,10 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
                     kind: str) -> EvalResult:
     seq = params.seq
     lam, eta, r2 = params.lam, params.eta, params.r ** 2
-    # the alternating series converges for every lam+eta > 0
-    if not alternating and seq.exponent * (lam + eta) <= 1.0:
-        raise DivergenceError(
-            f"series diverges: exponent*(lam+eta) = {seq.exponent * (lam + eta):g} <= 1")
     inner = _inner_policy(policy)
     a_start = _series_tail_start(seq, r2)
+    # a divergent tail raises here, before any head quadrature
+    sums = _PowerSums(seq, r2, _plus((lam, 0.0), eta), a_start, alternating)
     terms = []
     err = 0.0
     for n in range(1, a_start):
@@ -505,8 +507,7 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
         terms.append(sign * fres.value * w)
         err += fres.err_est * w
     coeffs = _KernelCoeffs(lam, params.b, params.c, params.pq, inner, kind)
-    tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2),
-                                 _PowerSums(seq, r2, _plus((lam, 0.0), eta), a_start, alternating))
+    tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), sums)
     value = math.fsum(terms) + tail
     err += tail_err
     tol = max(policy.abs_tol, policy.rel_tol * abs(value))
@@ -541,16 +542,6 @@ def mathieu_alternating_direct(params: MathieuParams, policy: QuadPolicy = DEFAU
 # integral representation with the counting weight
 
 
-def _check_weighted_convergence(s1: float, seq: SequenceSpec, alternating: bool) -> None:
-    # the tails sum v_n = (a_n + r^2)^-(s1+m): the parity weight keeps the
-    # alternating sum over n >= A, which converges whenever s1 > 0, the
-    # counting weight the plain sum, which needs s1 > 1/k (_PowerSums tests
-    # the exact exponent)
-    floor = 0.0 if alternating else 1.0 / seq.exponent
-    if s1 <= floor:
-        raise DivergenceError(f"weighted integral diverges: tail exponent {s1:g} <= {floor:g}")
-
-
 def _cahen_engine(coeffs: _KernelCoeffs, s1: tuple[float, float], seq: SequenceSpec,
                   r2: float, alternating: bool, policy: QuadPolicy, first: int = 1,
                   head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
@@ -558,10 +549,11 @@ def _cahen_engine(coeffs: _KernelCoeffs, s1: tuple[float, float], seq: SequenceS
     # expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m) with c_m from coeffs:
     # panel N of order m integrates to c_m r^(2m) (v_N - v_(N+1)),
     # v_n = (a_n+r^2)^-(s1+m); panels n < first are already summed,
-    # weighted, in head
-    _check_weighted_convergence(s1[0], seq, alternating)
-    err = head.err_est
+    # weighted, in head.  The tails' sums (odd N only for the parity weight)
+    # come first, so a divergent s1 raises before any panel grows coeffs
     a_start = _series_tail_start(seq, r2)
+    sums = _PowerSums(seq, r2, s1, a_start | 1 if alternating else a_start, alternating)
+    err = head.err_est
     parts = [head.value]
     for n in range(first, a_start):
         if alternating and n % 2 == 0:
@@ -570,10 +562,6 @@ def _cahen_engine(coeffs: _KernelCoeffs, s1: tuple[float, float], seq: SequenceS
         val, p_err = _panel(coeffs, s1, r2, seq.value(n), seq.value(n + 1))
         parts.append(w_n * val)
         err += w_n * p_err
-
-    # analytic tail over panels N >= a_start: the parity weight keeps the
-    # odd N, sum_{n>=A|1} (-1)^(n+1) v_n
-    sums = _PowerSums(seq, r2, s1, a_start | 1 if alternating else a_start, alternating)
 
     def order_tail(m: int) -> tuple[float, float, float]:
         # Abel summation: sum_{N>=A} N (v_N - v_(N+1)) = (A-1) v_A + sum_{N>=A} v_N;
@@ -701,57 +689,58 @@ def _check_bound_window(params: MathieuParams) -> None:
         raise DomainError(f"bound requires c >= lam+1 (Luke window), got c={params.c}")
 
 
-def bound_mathieu_rhs(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY) -> float:
+def _luke_bound(params: MathieuParams, parts: list[EvalResult], policy: QuadPolicy) -> EvalResult:
+    # env [lam (A_L1 g_1 + B_L1 g_2) + eta (A_L0 g_3 + B_L0 g_4)] over the four
+    # children g_i, with Luke's pair at L1 = lam+1 and L0 = lam: A_L = 1 - l_L,
+    # B_L = 2(c+1) l_L / ((L+1)(b+1) r^2 + 2(c+1) a_1),
+    # l_L = 2Lb(c+1) / (c(L+1)(b+1)).  Each term charges its child's error
+    # and 24 ulps (|A_L| <= 1 + l_L), 4X more for env = exp(-X)
+    lam, b, c, pq = params.lam, params.b, params.c, params.pq
+    r2, a1, env = params.r * params.r, params.seq.a1, pq.envelope
+    rnd = (24.0 + 4.0 * (math.sqrt(pq.p) + math.sqrt(pq.q)) ** 2) * _EPS
+    value = err = 0.0
+    for mult, big_l, (g_a, g_b) in ((lam, lam + 1.0, parts[:2]), (params.eta, lam, parts[2:])):
+        ell = 2.0 * big_l * b * (c + 1.0) / (c * (big_l + 1.0) * (b + 1.0))
+        coef_b = 2.0 * (c + 1.0) * ell / ((big_l + 1.0) * (b + 1.0) * r2 + 2.0 * (c + 1.0) * a1)
+        value += mult * env * ((1.0 - ell) * g_a.value + coef_b * g_b.value)
+        err += mult * env * (abs(1.0 - ell) * g_a.err_est + coef_b * g_b.err_est
+                             + rnd * ((1.0 + ell) * abs(g_a.value) + coef_b * abs(g_b.value)))
+    tol = max(policy.abs_tol, policy.rel_tol * abs(value))
+    return EvalResult(value, err, sum(g.n_work for g in parts),
+                      all(g.converged for g in parts) and err <= tol)
+
+
+def bound_mathieu_rhs(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Printed four-term upper bound for the series: envelope factor, Luke's
-    coefficients, and four counting-weight power integrals."""
+    coefficients, and four counting-weight power integrals (u_integral
+    rejects the divergent ones, lam+eta <= 1 + 1/k)."""
     _check_bound_window(params)
-    lam, eta, b, c, r = params.lam, params.eta, params.b, params.c, params.r
-    seq = params.seq
-    a1, r2 = seq.a1, r * r
-    if lam + eta <= 1.0 + 1.0 / seq.exponent:
-        raise DivergenceError("bound diverges: lam+eta <= 1 + 1/k")
-    env = params.pq.envelope
-    u_l1e = u_integral(seq, lam + 1.0, eta, r, policy).value
-    u_le = u_integral(seq, lam, eta, r, policy).value
-    u_le1 = u_integral(seq, lam, eta + 1.0, r, policy).value
-    u_lm1e1 = u_integral(seq, lam - 1.0, eta + 1.0, r, policy).value
-    part1 = (1.0 - 2.0 * (lam + 1.0) * b * (c + 1.0) / (c * (lam + 2.0) * (b + 1.0))) * u_l1e
-    part2 = 4.0 * (lam + 1.0) * b * (c + 1.0) ** 2 * u_le / (
-        c * (lam + 2.0) * (b + 1.0) * ((lam + 2.0) * (b + 1.0) * r2 + 2.0 * (c + 1.0) * a1))
-    part3 = (1.0 - 2.0 * lam * b * (c + 1.0) / (c * (lam + 1.0) * (b + 1.0))) * u_le1
-    part4 = 4.0 * lam * b * (c + 1.0) ** 2 * u_lm1e1 / (
-        c * (lam + 1.0) * (b + 1.0) * ((lam + 1.0) * (b + 1.0) * r2 + 2.0 * (c + 1.0) * a1))
-    return lam * env * (part1 + part2) + eta * env * (part3 + part4)
+    lam, eta = params.lam, params.eta
+    parts = [u_integral(params.seq, al, be, params.r, policy)
+             for al, be in ((lam + 1.0, eta), (lam, eta), (lam, eta + 1.0),
+                            (lam - 1.0, eta + 1.0))]
+    return _luke_bound(params, parts, policy)
 
 
-def bound_mathieu_alt_rhs(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY) -> float:
+def bound_mathieu_alt_rhs(params: MathieuParams,
+                          policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Printed four-term upper bound for the alternating series (closed 2F1 form).
 
-    Assembled exactly as printed; enforced for lam+eta > 2, where the closed
-    forms invoked by its derivation are valid.
+    Enforced for lam+eta > 2, where the closed forms invoked by its
+    derivation are valid.  Its children are four 2F1 values times
+    a_1^-e / e, e = lam+eta or lam+eta-1, the power charging |e log a_1| + 4 ulps.
     """
     _check_bound_window(params)
-    lam, eta, b, c, r = params.lam, params.eta, params.b, params.c, params.r
-    a1 = params.seq.a1
-    r2 = r * r
-    if not (lam + eta > 2.0):
-        raise DomainError(f"alternating bound requires lam+eta > 2, got {lam + eta:g}")
-    env = params.pq.envelope
-    z = -r2 / a1
-    f1 = gauss_2f1_raw(eta, lam + eta, eta + 1.0, z, policy).value
-    f2 = gauss_2f1_raw(eta, lam + eta - 1.0, eta + 1.0, z, policy).value
-    f3 = gauss_2f1_raw(eta + 1.0, lam + eta, eta + 2.0, z, policy).value
-    f4 = gauss_2f1_raw(eta + 1.0, lam + eta - 1.0, eta + 2.0, z, policy).value
-    a_pow = math.exp(-(lam + eta) * math.log(a1))        # a1^-(lam+eta)
-    a_pow1 = math.exp((1.0 - lam - eta) * math.log(a1))  # a1^(1-lam-eta)
-    den_l = (lam + 2.0) * (b + 1.0) * r2 + 2.0 * (c + 1.0) * a1
-    den_e = (lam + 1.0) * (b + 1.0) * r2 + 2.0 * (c + 1.0) * a1
-    t1 = (1.0 - 2.0 * (lam + 1.0) * b * (c + 1.0) / (c * (lam + 2.0) * (b + 1.0))) \
-        * f1 * a_pow / (lam + eta)
-    t2 = 4.0 * (lam + 1.0) * b * (c + 1.0) ** 2 / (c * (lam + 2.0) * (b + 1.0)) \
-        * a_pow1 * f2 / ((lam + eta - 1.0) * den_l)
-    t3 = (1.0 - 2.0 * lam * b * (c + 1.0) / (c * (lam + 1.0) * (b + 1.0))) \
-        * f3 * a_pow / (lam + eta)
-    t4 = 4.0 * lam * b * (c + 1.0) ** 2 / (c * (lam + 1.0) * (b + 1.0)) \
-        * a_pow1 * f4 / ((lam + eta - 1.0) * den_e)
-    return lam * env * (t1 + t2) + eta * env * (t3 + t4)
+    eta, s, log_a1 = params.eta, params.lam + params.eta, math.log(params.seq.a1)
+    if not (s > 2.0):
+        raise DomainError(f"alternating bound requires lam+eta > 2, got {s:g}")
+    z = -params.r * params.r / params.seq.a1
+    parts = []
+    for a, cc in ((eta, eta + 1.0), (eta + 1.0, eta + 2.0)):
+        for e in (s, s - 1.0):
+            f = gauss_2f1_raw(a, e, cc, z, policy)
+            k = math.exp(-e * log_a1) / e
+            rnd = (abs(e * log_a1) + 4.0) * _EPS
+            parts.append(EvalResult(f.value * k, (f.err_est + rnd * abs(f.value)) * k, f.n_work,
+                                    f.converged))
+    return _luke_bound(params, parts, policy)

@@ -283,7 +283,7 @@ def check_bounds(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRecord]:
     for (lam, eta, b, c, p, q, rfrac, seq) in g6_grid:
         params = MathieuParams(lam, eta, math.sqrt(rfrac * seq.a1), b, c, PQParams(p, q), seq)
         lhs = mathieu_direct(params, policy).value
-        rhs = bound_mathieu_rhs(params, policy)
+        rhs = bound_mathieu_rhs(params, policy).value
         out.append(_le_record("bounds", "mathieu_upper_bound",
                               f"lam={lam};eta={eta};b={b};c={c};p={p};q={q};"
                               f"r2/a1={rfrac};seq={seq.label}", lhs, rhs, 1e-9))
@@ -300,7 +300,7 @@ def check_bounds(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRecord]:
     for (lam, eta, b, c, p, q, rfrac, seq) in g7_grid:
         params = MathieuParams(lam, eta, math.sqrt(rfrac * seq.a1), b, c, PQParams(p, q), seq)
         lhs = mathieu_alternating_direct(params, policy).value
-        rhs = bound_mathieu_alt_rhs(params, policy)
+        rhs = bound_mathieu_alt_rhs(params, policy).value
         out.append(_le_record("bounds", "mathieu_alt_upper_bound",
                               f"lam={lam};eta={eta};b={b};c={c};p={p};q={q};"
                               f"r2/a1={rfrac};seq={seq.label}", lhs, rhs, 1e-9))

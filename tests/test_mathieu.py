@@ -263,6 +263,21 @@ def test_plain_series_at_the_divergence_edge(lam, eta, k):
     assert integral.err_est <= 2.0 * direct.err_est
 
 
+def test_plain_series_one_ulp_above_the_divergence_edge():
+    # lam + eta = 1 + 2^-53 exactly, although it rounds to 1: the tail
+    # exponent pair keeps the 2^-53, so both routes accept the point and
+    # return about zeta(1 + 2^-53) = 2^53; at lam + eta = 1 both raise
+    params = MathieuParams(0.5, 0.5000000000000001, 0.5, 1.0, 2.0, PQ0, SEQ_N)
+    assert params.lam + params.eta == 1.0
+    ref = _reference(params.lam, params.eta, 0.25, 1.0, 2.0, 1.0, alternating=False)
+    for route in (mathieu_direct, mathieu_via_integral):
+        res = route(params)
+        assert res.converged
+        assert abs(res.value - ref) <= res.err_est
+        with pytest.raises(DivergenceError):
+            route(MathieuParams(0.5, 0.5, 0.5, 1.0, 2.0, PQ0, SEQ_N))
+
+
 def test_underflowing_r2_leaves_zeta_values():
     # r^2 = 1e-340 underflows to 0, so the expansion keeps order 0 alone
     # (_orders at w = 0) and the kernel is 1: the series are zeta(2) and
@@ -531,7 +546,7 @@ def test_bound_assembly_matches_formula():
     lam, eta, b, c, r = 1.0, 3.0, 1.0, 2.0, 0.5
     pq = PQParams(0.5, 0.5)
     params = MathieuParams(lam, eta, r, b, c, pq, SEQ_N)
-    got = bound_mathieu_rhs(params)
+    got = bound_mathieu_rhs(params).value
     env = pq.envelope
     a1, r2 = 1.0, r * r
     u1 = u_integral(SEQ_N, lam + 1.0, eta, r).value
@@ -553,7 +568,7 @@ def test_alt_bound_assembly_matches_formula():
     lam, eta, b, c, r = 1.0, 2.5, 1.0, 2.0, 0.5
     pq = PQParams(0.25, 0.25)
     params = MathieuParams(lam, eta, r, b, c, pq, SEQ_N)
-    got = bound_mathieu_alt_rhs(params)
+    got = bound_mathieu_alt_rhs(params).value
     env = pq.envelope
     a1, r2 = 1.0, r * r
     z = -r2 / a1
@@ -574,27 +589,50 @@ def test_alt_bound_assembly_matches_formula():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_bound_record_sums_its_children():
+    # the plain bound is assembled from four u-integrals: its work is theirs,
+    # and its error, their errors and the assembly's rounding, is nonzero
+    params = MathieuParams(1.0, 3.0, 0.5, 1.0, 2.0, PQParams(0.5, 0.5), SEQ_N)
+    res = bound_mathieu_rhs(params)
+    kids = [u_integral(SEQ_N, al, be, 0.5) for al, be in ((2.0, 3.0), (1.0, 3.0), (1.0, 4.0),
+                                                            (0.0, 4.0))]
+    assert res.n_work == sum(k.n_work for k in kids) > 0
+    assert res.converged
+    assert 0.0 < res.err_est <= DEFAULT_POLICY.rel_tol * res.value
+
+
+def test_starved_alt_bound_is_unconverged():
+    # 16 terms leave each 2F1 series (ratio 0.2) a tail near 1e-11
+    params = MathieuParams(1.0, 2.5, 0.5, 1.0, 2.0, PQParams(0.25, 0.25), SEQ_N)
+    res = bound_mathieu_alt_rhs(params, QuadPolicy(max_evals=16))
+    assert not res.converged
+    assert res.err_est > DEFAULT_POLICY.rel_tol * res.value
+    full = bound_mathieu_alt_rhs(params)
+    assert full.converged
+    assert abs(res.value - full.value) <= res.err_est + full.err_est
+
+
 def test_bound_inequality_instances():
     params = MathieuParams(1.0, 3.0, 0.5, 1.0, 2.0, PQParams(0.5, 0.5), SEQ_N)
-    assert mathieu_direct(params).value <= bound_mathieu_rhs(params) + 1e-9
+    assert mathieu_direct(params).value <= bound_mathieu_rhs(params).value + 1e-9
     params = MathieuParams(1.0, 2.5, 0.5, 1.0, 2.0, PQParams(0.25, 0.25), SEQ_N)
-    assert mathieu_alternating_direct(params).value <= bound_mathieu_alt_rhs(params) + 1e-9
+    assert mathieu_alternating_direct(params).value <= bound_mathieu_alt_rhs(params).value + 1e-9
 
 
 def test_bound_envelope_collapse_at_zero_damping():
     # with p = q = 0 the envelope factor is 1 and the bound is purely rational
     params0 = MathieuParams(1.0, 3.0, 0.5, 1.0, 2.0, PQ0, SEQ_N)
     params1 = MathieuParams(1.0, 3.0, 0.5, 1.0, 2.0, PQParams(0.5, 0.5), SEQ_N)
-    b0 = bound_mathieu_rhs(params0)
-    b1 = bound_mathieu_rhs(params1)
+    b0 = bound_mathieu_rhs(params0).value
+    b1 = bound_mathieu_rhs(params1).value
     assert b1 == pytest.approx(math.exp(-4.0 * 0.5) * b0, rel=1e-11)
 
 
 def test_alt_bound_envelope_collapse():
     params0 = MathieuParams(1.0, 2.5, 0.5, 1.0, 2.0, PQ0, SEQ_N)
     params1 = MathieuParams(1.0, 2.5, 0.5, 1.0, 2.0, PQParams(0.25, 0.25), SEQ_N)
-    assert bound_mathieu_alt_rhs(params1) == pytest.approx(
-        math.exp(-1.0) * bound_mathieu_alt_rhs(params0), rel=1e-12)
+    assert bound_mathieu_alt_rhs(params1).value == pytest.approx(
+        math.exp(-1.0) * bound_mathieu_alt_rhs(params0).value, rel=1e-12)
 
 
 def test_bound_window_checks():
@@ -615,4 +653,4 @@ def test_alt_bound_argument_arithmetic():
     # with r^2 = a1/2 every hypergeometric argument in the bound is -0.5
     params = MathieuParams(1.0, 2.5, math.sqrt(2.0), 1.0, 2.0, PQ0, SequenceSpec.power(4.0, 1.0))
     assert params.r ** 2 / params.seq.a1 == pytest.approx(0.5, rel=1e-15)
-    assert bound_mathieu_alt_rhs(params) > 0.0
+    assert bound_mathieu_alt_rhs(params).value > 0.0
