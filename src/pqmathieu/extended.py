@@ -4,9 +4,11 @@ The extension weights the Euler integrals with exp(-p/t - q/(1-t)), p, q >= 0.
 Two independent evaluation paths exist for the extended Gauss function: the
 single Euler-type integral (primary, one quadrature call) and the series whose
 coefficients are extended Beta values; the series path is the verification
-oracle.  Coefficient tables B(x0+j, y; p, q), j = 0 .. n-1, come from one
-shared tanh-sinh node set per table (extended_beta_table); the series grow
-theirs in blocks of 32 entries as they advance.
+oracle.  Kernel values F_{p,q}(a, b; c; -x) at many x in [0, 1] share one
+node fan (extended_gauss_fan).  Coefficient tables B(x0+j, y; p, q),
+j = 0 .. n-1, come from one shared tanh-sinh node set per table
+(extended_beta_table); the series grow theirs in blocks of 32 entries as
+they advance.
 
 All integrands are evaluated in log space from the exact endpoint distances
 supplied by the quadrature engine, so (t**(x-1)) and ((1-t)**(y-1)) factors
@@ -22,7 +24,8 @@ from typing import Callable
 
 from .classical import HyperTriple, beta, gauss_2f1
 from .errors import DomainError
-from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_log_moments
+from .quadrature import (DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_log_kernels,
+                         integrate_log_moments)
 from .results import EvalResult
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "envelope_factor",
     "extended_beta",
     "extended_beta_table",
+    "extended_gauss_fan",
     "extended_gauss_integral",
     "extended_gauss_series",
     "extended_kummer",
@@ -160,6 +164,24 @@ def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
                               log_space=True)
     norm = beta(b, c - b)
     return EvalResult(res.value / norm, res.err_est / norm, res.n_work, res.converged)
+
+
+def extended_gauss_fan(triple: HyperTriple, xs: list[float], pq: PQParams,
+                       policy: QuadPolicy = DEFAULT_POLICY) -> list[EvalResult]:
+    """F_{p,q}(a, b; c; -x) for every x in xs, a > 0 and 0 <= x <= 1, by the
+    Euler-type integral of extended_gauss_integral on one shared node fan.
+
+    The damped weight t^(b-1) (1-t)^(c-b-1) e^(-p/t - q/(1-t)) is evaluated
+    once per node and only the factor (1 + x t)^(-a) once per entry.  Each
+    entry stops where its own extended_gauss_integral would and carries its
+    own error estimate and converged flag; n_work is the node count of the
+    whole fan, which spends at most policy.max_evals (see
+    quadrature.integrate_log_kernels).
+    """
+    a, b, c = triple.a, triple.b, triple.c
+    norm = beta(b, c - b)
+    return [EvalResult(res.value / norm, res.err_est / norm, res.n_work, res.converged)
+            for res in integrate_log_kernels(_beta_log_weight(b, c - b, pq), a, xs, policy)]
 
 
 def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],

@@ -4,7 +4,10 @@ The series is sum_{n>=1} F_{p,q}(lam, b; c; -r^2/a_n) / (a_n^lam (a_n+r^2)^eta)
 over a monotone divergent sequence a_n, plus the alternating variant.  Three
 evaluation routes are provided and cross-checked:
 
-* direct summation up to a fixed tail start, completed by one analytic tail,
+* direct summation up to a fixed tail start, completed by one analytic tail;
+  the head kernels all come from one shared tanh-sinh node fan
+  (extended_gauss_fan), since their Euler integrands differ only by the
+  factor (1 + r^2 t/a_n)^-lam,
 * the closed integral representation with the counting-function weight
   (evaluated as exact interval sums, so the weight jumps always land on
   panel boundaries),
@@ -48,8 +51,9 @@ from typing import Callable
 from .classical import HyperTriple, gauss_2f1_raw
 from .classical import beta as beta_fn
 from .errors import DivergenceError, DomainError
-from .extended import PQParams, _BetaColumn, extended_gauss_integral
+from .extended import PQParams, _BetaColumn, extended_gauss_fan
 from .extended import extended_beta  # noqa: F401  (traced by bench/worker.py)
+from .extended import extended_gauss_integral  # noqa: F401  (traced by bench/worker.py)
 from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc
 from .quadrature import integrate_to_infinity  # noqa: F401  (traced by bench/worker.py)
 from .results import EvalResult
@@ -496,12 +500,14 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
     a_start = _series_tail_start(seq, r2)
     # a divergent tail raises here, before any head quadrature
     sums = _PowerSums(seq, r2, _plus((lam, 0.0), eta), a_start, alternating)
+    ans = [seq.value(n) for n in range(1, a_start)]
+    if kind == "classical":
+        heads = [gauss_2f1_raw(lam, params.b, params.c, -r2 / an, inner) for an in ans]
+    else:
+        heads = extended_gauss_fan(params.triple, [r2 / an for an in ans], params.pq, inner)
     terms = []
     err = 0.0
-    for n in range(1, a_start):
-        an = seq.value(n)
-        fres = (gauss_2f1_raw(lam, params.b, params.c, -r2 / an, inner) if kind == "classical"
-                else extended_gauss_integral(params.triple, -r2 / an, params.pq, inner))
+    for n, an, fres in zip(range(1, a_start), ans, heads):
         w = math.exp(-lam * math.log(an)) * (an + r2) ** (-eta)
         sign = 1.0 if (not alternating or n % 2 == 1) else -1.0
         terms.append(sign * fres.value * w)
@@ -519,10 +525,13 @@ def mathieu_direct(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
     """Sum the Mathieu-type series directly.
 
     The terms before a fixed tail start A (r^2/(a_A+r^2) <= 1/9, A >= 33)
-    go through the kernel's Euler integral; the rest is completed
-    analytically with the transformed kernel expansion, every term
-    positive.  kernel="classical" replaces the extended kernel by the
-    classical Gauss series (the p = q = 0 counterpart).
+    go through the kernel's Euler integral, all A-1 of them on one shared
+    node fan (extended_gauss_fan: one weight evaluation per node, one
+    quadrature's budget, each kernel stopping where its own quadrature
+    would); the rest is completed analytically with the transformed kernel
+    expansion, every term positive.  kernel="classical" replaces the
+    extended kernel by the classical Gauss series (the p = q = 0
+    counterpart).
     """
     return _mathieu_engine(params, policy, alternating=False, kind=kernel)
 
@@ -663,13 +672,15 @@ def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
     Equals 2F1(eta, lam+eta-1; lam+eta; -r^2/a1) / ((lam+eta-1) a1^(lam+eta-1))
     for lam+eta > 1 and r^2 < a1 (GR 3.194.1 after x -> 1/t).
     """
-    if lam + eta <= 1.0:
-        raise DivergenceError(f"tail integral diverges: lam+eta = {lam + eta:g} <= 1")
+    # lam+eta as an exact pair: 1 + 2^-53 converges although it rounds to 1
+    hi, lo = _plus((lam, 0.0), eta)
+    sden = (hi - 1.0) + lo
+    if not sden > 0.0:
+        raise DivergenceError(f"tail integral diverges: lam+eta = {hi:.17g} {lo:+.3g} <= 1")
     if not (a1 > 0.0 and r > 0.0):
         raise DomainError("closed_tail_2f1 requires a1 > 0 and r > 0")
     if not r * r < a1:
         raise DomainError(f"closed_tail_2f1 requires r^2 < a1, got r^2={r * r}, a1={a1}")
-    sden = lam + eta - 1.0
     hyp = gauss_2f1_raw(eta, sden, sden + 1.0, -r * r / a1, policy)
     return hyp.value * math.exp(-sden * math.log(a1)) / sden
 

@@ -12,8 +12,10 @@ finite engine; the Jacobian singularity at u = 1 is absorbed by the same
 endpoint clustering.
 
 One node sweep (_fan) serves every entry point: a scalar integrand, plain or
-in log space, and a table of moments (x - lo)**j exp(lg) that shares one node
-fan for all j (integrate_log_moments).  Both share the stop rules (_verdict).
+in log space, a table of moments (x - lo)**j exp(lg) that shares one node
+fan for all j (integrate_log_moments), and a family of kernels
+exp(lg) (1 + x_n x)**-lam on (0, 1) that shares one fan for all n
+(integrate_log_kernels).  All share the stop rules (_verdict).
 
 All entry points are pure functions of their arguments; there is no global
 mutable state, so concurrent use from multiple threads is safe.
@@ -35,6 +37,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "integrate_finite",
     "integrate_finite_xc",
+    "integrate_log_kernels",
     "integrate_log_moments",
     "integrate_to_infinity",
 ]
@@ -315,6 +318,107 @@ class _Moments:
                 for v, e, c in zip(self.values, self.est, self.converged)]
 
 
+class _Kernels:
+    """Trapezoid sums of exp(lg(x, dlo, dhi)) * (1 + x_n x)**-lam over (0, 1), one
+    row per x_n in [0, 1], lam > 0, over one fan.
+
+    Each node evaluates the weight c0 = w exp(lg) once, then the factor of
+    every row still open.  The weight alone closes a side: every factor lies
+    in [(1 + x_max)**-lam, 1], x_max the largest open x_n (so at or above
+    2**-lam), and falls with x, so the newest node toward 1 carries the
+    smallest factor summed so far.  A node there whose weight is negligible
+    is therefore negligible for every row, and so is a node toward 0 whose
+    weight is negligible at (1 + x_max)**-lam times the threshold.  A row
+    freezes at the first level at which its own verdict stops, as its own
+    quadrature would; the fan stops once every row has frozen.
+    """
+
+    def __init__(self, lg: Callable[[float, float, float], float], lam: float,
+                 xs: list[float], policy: QuadPolicy):
+        self.lg, self.lam, self.policy = lg, lam, policy
+        self.open = list(range(len(xs)))    # rows not yet frozen
+        self.xs = list(xs)                  # their x_n
+        self._scale_thresholds()
+        self.rows: list[list[float]] = []   # per node: contributions of the open rows
+        self.logs: list[list[float]] = []   # per node: |log f| of the open rows
+        self.run = 0.0                      # running sum of the weight
+        self.last: list = [None, None, None]
+        self.stranded: list = []
+        n = len(xs)
+        self.values = [0.0] * n
+        self.rounding = [0.0] * n
+        self.defect_prev = [math.inf] * n
+        self.est = [math.inf] * n
+        self.converged = [False] * n
+
+    def _scale_thresholds(self) -> None:
+        # per side (toward 1, toward 0, centre) for the open rows
+        low = _NEGLIGIBLE * (1.0 + max(self.xs, default=0.0)) ** -self.lam
+        self.thresholds = (_NEGLIGIBLE, low, low)
+
+    def node(self, x: float, dlo: float, dhi: float, w: float, delta: float, side: int) -> bool:
+        try:
+            lg = self.lg(x, dlo, dhi)
+            c0 = w * math.exp(lg)
+        except OverflowError:
+            raise IntegrandError(f"integrand overflowed at x={x!r}") from None
+        if not math.isfinite(c0):
+            raise IntegrandError(f"integrand contribution overflowed at x={x!r}")
+        self.run += c0
+        self.last[side] = None
+        if c0:
+            lam, log1p, exp = self.lam, math.log1p, math.exp
+            logs = [lam * log1p(a * x) for a in self.xs]
+            row = [c0 * exp(-v) for v in logs]
+            self.rows.append(row)
+            self.logs.append([abs(lg - v) for v in logs])
+            self.last[side] = (row, delta / w)
+        return c0 <= self.thresholds[side] * self.run
+
+    def forced(self, side: int) -> None:
+        if self.last[side] is not None:
+            self.stranded.append(self.last[side])
+
+    def settle(self, level: int, h: float) -> bool:
+        n = len(self.open)
+        cols = list(zip(*self.rows)) or [()] * n
+        log_cols = list(zip(*self.logs)) or [()] * n
+        if self.stranded:
+            defects = [16.0 * max(vs) for vs in zip(*(
+                [v * scale for v in row] for row, scale in self.stranded))]
+        else:
+            defects = [0.0] * n
+        self.rows, self.logs, self.stranded = [], [], []
+        self.run = 0.0
+        self.last = [None, None, None]
+        keep = 0.5 if level else 0.0
+        rel_tol, abs_tol = self.policy.rel_tol, self.policy.abs_tol
+        values, rounding, defect_prev = self.values, self.rounding, self.defect_prev
+        still_open = []
+        for i, j in enumerate(self.open):
+            col = cols[i]
+            part = math.fsum(col)
+            old = values[j]
+            new = values[j] = keep * old + h * part
+            # rounding of exp(lg - lam*log1p(x_n x)), |log f| + 2 ulps of each
+            # contribution, on top of the 4-ulp summation floor
+            rounding[j] = keep * rounding[j] + h * (sum(map(mul, col, log_cols[i])) + 2.0 * part)
+            stop = False
+            if level:
+                self.est[j], stop, self.converged[j] = _verdict(
+                    level, abs(new - old), _EPS * (4.0 * new + rounding[j]), defects[i],
+                    defect_prev[j], max(abs_tol, rel_tol * new))
+            defect_prev[j] = defects[i]
+            if not stop:
+                still_open.append(i)
+        self.open = [self.open[i] for i in still_open]
+        self.xs = [self.xs[i] for i in still_open]
+        self._scale_thresholds()
+        return not self.open
+
+    results = _Moments.results
+
+
 def _tanh_sinh(g: Callable[[float, float, float], float], lo: float, hi: float,
                policy: QuadPolicy, endpoint_safe: bool,
                log_space: bool = False) -> EvalResult:
@@ -383,6 +487,36 @@ def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float,
         raise DomainError(f"integrate_log_moments needs n >= 1, got {n}")
     acc = _Moments(lg, n, policy)
     n_evals = _fan(acc, lo, hi, policy.max_refinements, n * policy.max_evals,
+                   endpoint_safe=False)
+    return acc.results(n_evals)
+
+
+def integrate_log_kernels(lg: Callable[[float, float, float], float], lam: float,
+                          xs: list[float], policy: QuadPolicy = DEFAULT_POLICY) -> list[EvalResult]:
+    """Integrals of exp(lg(x, x, 1 - x)) * (1 + x_n x)**-lam over (0, 1), one per x_n in xs.
+
+    One node fan serves all entries: lg is evaluated once per node, in log
+    space from the exact endpoint distances as in integrate_finite_xc, and
+    the factor of entry n only while that entry is still refining.  Each
+    entry stops at the first level at which it would stop as its own
+    quadrature, and reports that level's value, error estimate and converged
+    flag; every entry's n_work is the node count of the shared fan, which
+    spends at most policy.max_evals node evaluations, one quadrature's
+    budget.  lam > 0 and 0 <= x_n <= 1 keep every factor in [2**-lam, 1],
+    which lets the weight alone decide where a side of the fan closes, at a
+    threshold scaled by the smallest factor on the side toward 0.
+
+    The error floor charges the rounding of exp(lg - lam*log1p(x_n x)),
+    eps * sum w*f*(|log f| + 2), on top of the 4-ulp summation floor.
+    """
+    if not xs:
+        raise DomainError("integrate_log_kernels needs at least one x_n")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise DomainError(f"integrate_log_kernels needs lam > 0, got {lam}")
+    if not all(0.0 <= x <= 1.0 for x in xs):
+        raise DomainError("integrate_log_kernels needs every x_n in [0, 1]")
+    acc = _Kernels(lg, lam, xs, policy)
+    n_evals = _fan(acc, 0.0, 1.0, policy.max_refinements, policy.max_evals,
                    endpoint_safe=False)
     return acc.results(n_evals)
 

@@ -541,6 +541,15 @@ def test_closed_tail_domain():
         closed_tail_2f1(1.0, 1.0, 1.0, 1.0)  # r^2 = a1 not allowed here
 
 
+def test_closed_tail_one_ulp_above_the_divergence_edge():
+    # lam + eta = 1 + 2^-53 exactly, although it rounds to 1: the exponent
+    # pair keeps the 2^-53, and the integral is about 1/2^-53 = 2^53
+    assert 0.5 + 0.5000000000000001 == 1.0
+    got = closed_tail_2f1(1.0, 0.5, 0.5000000000000001, 0.5)
+    assert math.isfinite(got) and got > 0.0
+    assert got == pytest.approx(2.0 ** 53, rel=1e-12)
+
+
 def test_bound_assembly_matches_formula():
     # reassemble the printed four-term bound from its pieces
     lam, eta, b, c, r = 1.0, 3.0, 1.0, 2.0, 0.5

@@ -30,7 +30,7 @@ PROBES = {
     "extended_gauss_integral": (lambda: extended_gauss_integral(*KERNEL), 107),
     "extended_gauss_series": (lambda: extended_gauss_series(*KERNEL), 323),
     "extended_kummer": (lambda: extended_kummer(1.0, 2.0, -8.0, PQ), 323),
-    "mathieu_direct": (lambda: mathieu_direct(SERIES), 3609),
+    "mathieu_direct": (lambda: mathieu_direct(SERIES), 292),
     "mathieu_via_integral": (lambda: mathieu_via_integral(SERIES), 323),
     "bound_mathieu_rhs": (lambda: bound_mathieu_rhs(BOUND), 0),
 }
