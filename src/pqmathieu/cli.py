@@ -2,9 +2,12 @@
 and sweep parameters, with plain / CSV / JSON line output.
 
 Exit codes: 0 success, 1 domain error (a message on stderr names the violated
-precondition), 2 non-convergence or failed checks, 64 (EX_USAGE) a command
-line that argparse rejects.  Identical command lines produce byte-identical
-output.
+precondition), 2 non-convergence or failed checks, 64 (EX_USAGE) a rejected
+command line: one argparse rejects, or a --sweep whose LO, HI or STEPS does
+not parse.  Identical command lines produce byte-identical output.  Each
+command runs in one extended-Beta column scope (extended._beta_column_scope):
+its rows and routes share their kernel-expansion coefficients, and the
+printed values and work counts are those of separate commands.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 
 from .classical import HyperTriple
 from .errors import DomainError
-from .extended import (PQParams, extended_beta, extended_gauss_integral,
+from .extended import (PQParams, _beta_column_scope, extended_beta, extended_gauss_integral,
                        extended_gauss_series, extended_kummer)
 from .mathieu import (MathieuParams, SequenceSpec, bound_mathieu_alt_rhs, bound_mathieu_rhs,
                       mathieu_alt_via_integral, mathieu_alternating_direct, mathieu_direct,
@@ -44,6 +47,10 @@ TARGET_PARAMS = {
 NUMERIC = ("x", "y", "a", "b", "c", "z", "eta", "r", "p", "q", "k", "scale", "lam")
 FLAG_OF = {"lam": "--lambda"}
 EX_USAGE = 64  # a malformed command line (sysexits.h), apart from 2: unconverged
+
+
+class _UsageError(Exception):
+    """A command line argparse accepts but a command cannot parse."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +239,8 @@ def cmd_scan(ns: argparse.Namespace) -> int:
         key = "lam" if name == "lambda" else name
         if key not in NUMERIC:
             raise DomainError(f"cannot sweep parameter {name!r}")
-        lo_f, hi_f, n = float(lo), float(hi), int(steps)
+        lo_f, hi_f = _sweep_field(name, "LO", lo, float), _sweep_field(name, "HI", hi, float)
+        n = _sweep_field(name, "STEPS", steps, int)
         if n < 1:
             raise DomainError("sweep needs at least one step")
         axes.append((key, [lo_f + (hi_f - lo_f) * i / max(n - 1, 1) for i in range(n)]))
@@ -253,20 +261,32 @@ def cmd_scan(ns: argparse.Namespace) -> int:
     return 0 if all(r["converged"] for r in records) else 2
 
 
+def _sweep_field(name: str, field: str, text: str, kind: type):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise _UsageError(f"--sweep {name} {field} must be {what}, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EX_USAGE if exc.code else 0
     try:
-        if ns.command == "eval":
-            return cmd_eval(ns)
-        if ns.command == "verify":
-            return cmd_verify(ns)
-        return cmd_scan(ns)
+        with _beta_column_scope():
+            if ns.command == "eval":
+                return cmd_eval(ns)
+            if ns.command == "verify":
+                return cmd_verify(ns)
+            return cmd_scan(ns)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
+    except _UsageError as exc:
+        print(f"pqmathieu {ns.command}: error: {exc}", file=sys.stderr)
+        return EX_USAGE
 
 
 if __name__ == "__main__":

@@ -8,7 +8,12 @@ oracle.  Kernel values F_{p,q}(a, b; c; -x) at many x in [0, 1] share one
 node fan (extended_gauss_fan).  Coefficient tables B(x0+j, y; p, q),
 j = 0 .. n-1, come from one shared tanh-sinh node set per table
 (extended_beta_table); the series grow theirs in blocks of 32 entries as
-they advance.
+they advance.  The Mathieu routes' kernel expansions read the column
+B(c-b+m, b; q, p), m = 0, 1, ..., which depends on neither r nor the
+sequence: inside one _beta_column_scope (the CLI opens one per command)
+every expansion with the same column key reads one shared column.  Outside
+a scope each builds its own, so a library call stays a pure function of its
+arguments.
 
 All integrands are evaluated in log space from the exact endpoint distances
 supplied by the quadrature engine, so (t**(x-1)) and ((1-t)**(y-1)) factors
@@ -18,7 +23,9 @@ of the final exp.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,7 +136,10 @@ class _BetaColumn:
     """B(x0 + j, y; p, q) for j = 0, 1, ..., grown on demand in blocks of
     _BLOCK entries, each block from one extended_beta_table node set.
 
-    n_work counts the node evaluations of every block computed so far.
+    Block k always starts at x0 + _BLOCK k, so an entry's value does not depend on
+    who grew the column or how far.  block_work[k] counts the node
+    evaluations of block k, and work(n) those of the blocks covering entries
+    0 .. n-1.
     """
 
     def __init__(self, x0: float, y: float, pq: PQParams, policy: QuadPolicy):
@@ -137,17 +147,49 @@ class _BetaColumn:
         self.values: list[float] = []
         self.errs: list[float] = []
         self.converged: list[bool] = []
-        self.n_work = 0
+        self.block_work: list[int] = []
 
     def grow(self, n: int) -> None:
         while len(self.values) < n:
             block = extended_beta_table(self.x0 + len(self.values), self.y, self.pq,
                                         _BLOCK, self.policy)
-            self.n_work += block[0].n_work
+            self.block_work.append(block[0].n_work)
             for res in block:
                 self.values.append(res.value)
                 self.errs.append(res.err_est)
                 self.converged.append(res.converged)
+
+    def work(self, n: int) -> int:
+        return sum(self.block_work[:-(-n // _BLOCK)])
+
+
+# the column of the current _beta_column_scope: None outside any scope, else
+# a one-slot list [key, column] holding the column last asked for
+_SCOPE: ContextVar[list | None] = ContextVar("pqmathieu_beta_column", default=None)
+
+
+@contextlib.contextmanager
+def _beta_column_scope():
+    """Within the block, _shared_column hands every caller asking for the same
+    (x0, y, pq, policy) one _BetaColumn.  One slot: a new key replaces the
+    column, which bounds the memory a sweep holds.  The scope belongs to the
+    current context, so code running in another thread does not see it."""
+    token = _SCOPE.set([None, None])
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _shared_column(x0: float, y: float, pq: PQParams, policy: QuadPolicy) -> _BetaColumn:
+    """The scope's column for this key, or a fresh one outside any scope."""
+    slot = _SCOPE.get()
+    if slot is None:
+        return _BetaColumn(x0, y, pq, policy)
+    key = (x0, y, pq, policy)
+    if slot[0] != key:
+        slot[:] = key, _BetaColumn(x0, y, pq, policy)
+    return slot[1]
 
 
 def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
@@ -215,11 +257,11 @@ def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
                 hits += 1
                 if hits >= 2:
                     converged = tail + err_acc <= tol and all(coefs.converged[:n + 1])
-                    return EvalResult(total, tail + err_acc, coefs.n_work, converged)
+                    return EvalResult(total, tail + err_acc, coefs.work(n + 1), converged)
             else:
                 hits = 0
         pre *= ratio(n)
-    return EvalResult(total, tail + err_acc, coefs.n_work, False)
+    return EvalResult(total, tail + err_acc, coefs.work(n_cap), False)
 
 
 def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,

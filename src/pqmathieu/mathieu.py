@@ -51,7 +51,7 @@ from typing import Callable
 from .classical import HyperTriple, gauss_2f1_raw
 from .classical import beta as beta_fn
 from .errors import DivergenceError, DomainError
-from .extended import PQParams, _BetaColumn, extended_gauss_fan
+from .extended import PQParams, _shared_column, extended_gauss_fan
 from .extended import extended_beta  # noqa: F401  (traced by bench/worker.py)
 from .extended import extended_gauss_integral  # noqa: F401  (traced by bench/worker.py)
 from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc
@@ -182,8 +182,13 @@ class _KernelCoeffs:
     kernel; the classical kernel uses the exact ratio (c-b)_m/(c)_m, which
     is 1 for the constant kernel 2F1(alpha, 0; c; z) = 1.  Given an
     exponent pair sigma (_plus), the coefficients are kappa_m/(sigma+m),
-    the low part dropped from the divisor charged to their errors; work
-    counts the Beta blocks computed.
+    the low part dropped from the divisor charged to their errors.
+
+    The extended Beta column is _shared_column's: inside a
+    _beta_column_scope, expansions with the same (c-b, b, (q, p), policy)
+    read one column, whoever grew it.  work counts the node evaluations of
+    the Beta blocks covering the entries this expansion used, so it does
+    not depend on which route asked first.
     """
 
     def __init__(self, alpha: float, b: float, c: float, pq: PQParams,
@@ -198,15 +203,14 @@ class _KernelCoeffs:
         self._ratio = 1.0   # (c-b)_m / (c)_m, classical only
         if kind == "extended":
             self._norm = beta_fn(b, c - b)
-            self._betas = _BetaColumn(c - b, b, pq.swapped(), policy)
+            self._betas = _shared_column(c - b, b, pq.swapped(), policy)
 
     def grow(self, m_count: int) -> None:
         if len(self.values) >= m_count:
             return
         if self.kind == "extended":
-            before = self._betas.n_work
             self._betas.grow(m_count)
-            self.work += self._betas.n_work - before
+            self.work = self._betas.work(m_count)
         while len(self.values) < m_count:
             m = len(self.values)
             if self.kind == "classical":

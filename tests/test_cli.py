@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "pqmathieu"]
 
 
@@ -82,6 +84,16 @@ def test_usage_errors_exit_64():
     out = run_cli()
     assert out.returncode == 64
     assert "required: command" in out.stderr
+    # argparse takes --sweep as four strings; the scan command parses them
+    sweep = ("scan", "--target", "mathieu", "--lambda", "1", "--eta", "1", "--b", "1",
+             "--c", "2", "--p", "0", "--q", "0", "--seq", "n", "--sweep", "r")
+    for bounds, field in ((("0.1", "0.9", "abc"), "STEPS"), (("0.1", "0.9", "2.5"), "STEPS"),
+                          (("x", "0.9", "3"), "LO"), (("0.1", "", "3"), "HI")):
+        out = run_cli(*sweep, *bounds)
+        assert out.returncode == 64, bounds
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert f"--sweep r {field} must be" in out.stderr
 
 
 def test_help_exits_0():
@@ -190,3 +202,107 @@ def test_verify_golden_suite():
     rows = list(csv.DictReader(io.StringIO(out.stdout)))
     assert rows and all(r["pass"] == "true" for r in rows)
     assert out.stdout.splitlines()[0] == "suite,check,params,lhs,rhs,margin,pass"
+
+
+MATHIEU = ("--lambda", "1", "--eta", "1", "--b", "1", "--c", "2", "--p", "0.5", "--q", "0.5",
+           "--seq", "n", "--output", "json")
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    # the extended-Beta tables built, one entry per extended_beta_table call
+    import pqmathieu.extended as extended
+    calls = []
+    table = extended.extended_beta_table
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(extended, "extended_beta_table", counting)
+    return calls
+
+
+def _records(capsys, *argv):
+    from pqmathieu.cli import main
+    assert main(list(argv)) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_one_command_builds_each_beta_column_once(table_calls, capsys):
+    # both routes of every row read the column B(c-b+m, b; q, p), which does
+    # not depend on r: a 20-row scan builds what its widest row builds alone
+    _records(capsys, "eval", "--target", "mathieu", "--method", "integral", "--r", "0.95",
+             *MATHIEU)
+    row = len(table_calls)
+    assert row >= 2
+    table_calls.clear()
+    _records(capsys, "eval", "--target", "mathieu", "--method", "both", "--r", "0.95", *MATHIEU)
+    assert len(table_calls) == row
+    table_calls.clear()
+    _records(capsys, "scan", "--target", "mathieu", "--method", "both",
+             "--sweep", "r", "0.1", "0.95", "20", *MATHIEU)
+    assert len(table_calls) == row
+
+
+def _printed(rec):
+    return rec["value"], rec["err_est"], rec["n_work"], rec["converged"]
+
+
+def test_shared_column_leaves_every_record_unchanged(capsys):
+    # r falls along the sweep, so every row after the first finds the column
+    # grown further than it needs; its n_work still counts only its own blocks
+    scan = _records(capsys, "scan", "--target", "mathieu", "--method", "both",
+                    "--sweep", "r", "0.95", "0.1", "20", *MATHIEU)
+    assert len(scan) == 40
+    for i in range(0, 40, 2):
+        r = repr(scan[i]["r"])
+        alone = [_records(capsys, "eval", "--target", "mathieu", "--method", m, "--r", r,
+                          *MATHIEU)[0] for m in ("direct", "integral")]
+        both = _records(capsys, "eval", "--target", "mathieu", "--method", "both", "--r", r,
+                        *MATHIEU)
+        assert [_printed(rec) for rec in scan[i:i + 2]] == [_printed(rec) for rec in both]
+        assert both == alone
+
+
+def test_library_calls_outside_a_command_build_their_own_column(capsys, monkeypatch):
+    # the integral route of the work-count probe (tests/test_work_counts.py)
+    # spends its pinned 323 nodes, all in its Beta column, unless it runs
+    # inside a column scope that already holds that column
+    import math
+    import threading
+
+    import pqmathieu.quadrature as quadrature
+    from pqmathieu.extended import PQParams, _beta_column_scope
+    from pqmathieu.mathieu import MathieuParams, SequenceSpec, mathieu_via_integral
+
+    probe = MathieuParams(1.0, 1.0, math.sqrt(0.5), 1.0, 2.0, PQParams(0.5, 0.5),
+                          SequenceSpec.power())
+    counts = []
+    fan = quadrature._fan
+
+    def counting_fan(*args, **kwargs):
+        n = fan(*args, **kwargs)
+        counts.append(n)
+        return n
+
+    def nodes():
+        counts.clear()
+        mathieu_via_integral(probe)
+        return sum(counts)
+
+    monkeypatch.setattr(quadrature, "_fan", counting_fan)
+    # a command leaves a column with the probe's key behind; its scope closed
+    _records(capsys, "eval", "--target", "mathieu", "--method", "both",
+             "--r", repr(math.sqrt(0.5)), *MATHIEU)
+    assert nodes() == 323
+    with _beta_column_scope():
+        assert nodes() == 323
+        assert nodes() == 0
+        # another thread runs in its own context, outside this scope
+        in_thread = []
+        worker = threading.Thread(target=lambda: in_thread.append(nodes()))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert in_thread == [323]
