@@ -1,13 +1,14 @@
 """Command-line front end: evaluate library objects, run verification suites,
 and sweep parameters, with plain / CSV / JSON line output.
 
-Exit codes: 0 success, 1 domain error (a message on stderr names the violated
-precondition), 2 non-convergence or failed checks, 64 (EX_USAGE) a rejected
-command line: one argparse rejects, or a --sweep whose LO, HI or STEPS does
-not parse.  Identical command lines produce byte-identical output.  Each
-command runs in one extended-Beta column scope (extended._beta_column_scope):
-its rows and routes share their kernel-expansion coefficients, and the
-printed values and work counts are those of separate commands.
+Exit codes: 0 success, 1 domain error or integrand overflow (one line on
+stderr names the violated precondition or the overflow), 2 non-convergence
+or failed checks, 64 (EX_USAGE) a rejected command line: one argparse
+rejects, or a --sweep whose LO, HI or STEPS does not parse.  Identical
+command lines produce byte-identical output.  Each command runs in one
+extended-Beta column scope (extended._beta_column_scope): its rows and
+routes share their kernel-expansion coefficients, and the printed values and
+work counts are those of separate commands.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import sys
 
 from .classical import HyperTriple
-from .errors import DomainError
+from .errors import DomainError, IntegrandError
 from .extended import (PQParams, _beta_column_scope, extended_beta, extended_gauss_integral,
                        extended_gauss_series, extended_kummer)
 from .mathieu import (MathieuParams, SequenceSpec, bound_mathieu_alt_rhs, bound_mathieu_rhs,
@@ -283,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_scan(ns)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 1
+    except IntegrandError as exc:
+        print(f"integrand error: {exc}", file=sys.stderr)
         return 1
     except _UsageError as exc:
         print(f"pqmathieu {ns.command}: error: {exc}", file=sys.stderr)

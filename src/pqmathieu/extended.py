@@ -233,8 +233,10 @@ def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
 
     majorant(n, term) bounds the terms after term n, or is None while no
     bound is known.  The sum stops after two settled terms in a row and is
-    converged when the tail plus the accumulated coefficient errors meet
-    rel_tol * |sum| and every coefficient used converged.
+    converged when the sum is finite, the tail plus the accumulated
+    coefficient errors meet rel_tol * |sum| and every coefficient used
+    converged.  An overflowed sum makes that tolerance inf, which every
+    error meets, so it stops, unconverged.
     """
     rel_tol = coefs.policy.rel_tol
     total = 0.0
@@ -256,7 +258,8 @@ def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
             if tail + err_acc <= tol or tail <= tol < err_acc:
                 hits += 1
                 if hits >= 2:
-                    converged = tail + err_acc <= tol and all(coefs.converged[:n + 1])
+                    converged = math.isfinite(total) and tail + err_acc <= tol \
+                        and all(coefs.converged[:n + 1])
                     return EvalResult(total, tail + err_acc, coefs.work(n + 1), converged)
             else:
                 hits = 0

@@ -11,11 +11,14 @@ Semi-infinite integrals are folded onto (0, 1) by x = lo + u/(1-u) and reuse the
 finite engine; the Jacobian singularity at u = 1 is absorbed by the same
 endpoint clustering.
 
-One node sweep (_fan) serves every entry point: a scalar integrand, plain or
-in log space, a table of moments (x - lo)**j exp(lg) that shares one node
-fan for all j (integrate_log_moments), and a family of kernels
-exp(lg) (1 + x_n x)**-lam on (0, 1) that shares one fan for all n
-(integrate_log_kernels).  All share the stop rules (_verdict).
+One node sweep (_fan) serves every entry point, through one of two
+accumulators.  _Sum sums a plain, possibly signed, integrand
+(integrate_finite, integrate_finite_xc, integrate_to_infinity).  _Rows sums
+damped rows exp(lg) * r_j on one fan, evaluating the weight exp(lg) once per
+node: a table of moments, r_j = (x - lo)**j (integrate_log_moments, and a
+log-space integrate_finite_xc as its one-entry table), or a family of
+kernels, r_j = (1 + x_j x)**-lam on (0, 1) (integrate_log_kernels).  Both
+share the stop rules (_verdict).
 
 All entry points are pure functions of their arguments; there is no global
 mutable state, so concurrent use from multiple threads is safe.
@@ -169,25 +172,18 @@ def _fan(acc, lo: float, hi: float, max_refinements: int, max_evals: int,
 
 
 class _Sum:
-    """Trapezoid sums of one integrand g(x, dlo, dhi) over a node fan.
+    """Trapezoid sums of one plain, possibly signed, integrand g(x, dlo, dhi) over a node fan."""
 
-    A log-space g returns log f; its error floor then charges the rounding of
-    exp(log f), |log f| + 2 ulps of each contribution.
-    """
-
-    def __init__(self, g: Callable[[float, float, float], float], policy: QuadPolicy,
-                 log_space: bool = False):
-        self.g, self.policy, self.log_space = g, policy, log_space
+    def __init__(self, g: Callable[[float, float, float], float], policy: QuadPolicy):
+        self.g, self.policy = g, policy
         self.parts: list[float] = []
         self.l1 = 0.0
-        self.rounding = 0.0
         # |f| * delta at the last node of each side: a forced closure strands
         # at most ~16x that much mass (integrable singularities up to ~15/16)
         self.slivers = [0.0, 0.0, 0.0]
         self.defect = 0.0
         self.value = 0.0
         self.l1_total = 0.0
-        self.rounding_total = 0.0
         self.est = math.inf
         self.defect_prev = math.inf
         self.converged = False
@@ -195,9 +191,6 @@ class _Sum:
     def node(self, x: float, dlo: float, dhi: float, w: float, delta: float, side: int) -> bool:
         try:
             fx = self.g(x, dlo, dhi)
-            if self.log_space:
-                lf = fx
-                fx = math.exp(lf)
         except OverflowError:
             raise IntegrandError(f"integrand overflowed at x={x!r}") from None
         val = w * fx
@@ -205,8 +198,6 @@ class _Sum:
             if not math.isfinite(fx):
                 raise IntegrandError(f"non-finite integrand value {fx!r} at x={x!r}")
             raise IntegrandError(f"integrand contribution overflowed at x={x!r}")
-        if self.log_space and val:
-            self.rounding += val * (abs(lf) + 2.0)
         self.parts.append(val)
         self.l1 += abs(val)
         self.slivers[side] = abs(fx) * delta
@@ -220,131 +211,61 @@ class _Sum:
         keep = 0.0 if level == 0 else 0.5
         new_value = keep * self.value + h * part
         self.l1_total = keep * self.l1_total + h * self.l1
-        self.rounding_total = keep * self.rounding_total + h * self.rounding
         err = abs(new_value - self.value)
         self.value = new_value
         defect = self.defect
-        self.parts, self.l1, self.rounding = [], 0.0, 0.0
+        self.parts, self.l1 = [], 0.0
         self.slivers, self.defect = [0.0, 0.0, 0.0], 0.0
         stop = False
         if level >= 1:
             tol = max(self.policy.abs_tol, self.policy.rel_tol * abs(new_value))
-            floor = _EPS * (4.0 * self.l1_total + self.rounding_total)
-            self.est, stop, self.converged = _verdict(level, err, floor, defect,
-                                                      self.defect_prev, tol)
+            self.est, stop, self.converged = _verdict(level, err, _EPS * 4.0 * self.l1_total,
+                                                      defect, self.defect_prev, tol)
         self.defect_prev = defect
         return stop
 
 
-class _Moments:
-    """Trapezoid sums of (x - lo)**j * exp(lg(x, dlo, dhi)), j = 0 .. n-1, over one fan.
+class _Rows:
+    """Trapezoid sums of the rows exp(lg(x, dlo, dhi)) * r_j(x) over one fan.
 
-    Each node evaluates the log weight once and builds the powers by repeated
-    multiplication of the exact offset dlo = x - lo.  Every contribution is
-    nonnegative, so a sum is its own l1 norm.  Every entry gets its own
-    verdict at each level; the fan stops at the first level at which every
-    entry has converged or stalled, and all entries report that level.
+    Each node evaluates the damped weight c0 = w exp(lg) once, then the
+    entries of the rows still open.  Two row kinds:
+
+    - powers (lam None): r_j = (x - lo)**j, j = 0 .. n-1, by repeated
+      multiplication of the exact offset dlo.  The newest node of a side
+      has the extreme offset of all nodes summed so far, so the ratio of an
+      entry to its running sum is monotone in j: the first and last entries
+      decide whether a node is negligible for every entry.  Every entry stays
+      open until all have converged or stalled, and all report that level.
+    - kernels: r_j = (1 + x_j x)**-lam on (0, 1), x_j in [0, 1], lam > 0.
+      Every factor lies in [(1 + x_max)**-lam, 1], x_max the largest open
+      x_j (so at or above 2**-lam), and falls with x, so the newest node
+      toward 1 carries the smallest factor summed so far.  The weight alone
+      closes a side: at the plain threshold toward 1, at (1 + x_max)**-lam
+      times it toward 0.  A row freezes at the first level at which its own
+      verdict stops, as its own quadrature would.
+
+    Every contribution is nonnegative, so a sum is its own l1 norm.  The
+    error floor charges 4 ulps of summation plus the rounding of exp(log f),
+    |log f| + 2 ulps of each contribution, and j more for the power products.
     """
 
-    def __init__(self, lg: Callable[[float, float, float], float], n: int, policy: QuadPolicy):
-        self.lg, self.n, self.policy = lg, n, policy
-        self.rows: list[list[float]] = []   # per node of the current level
-        self.logs: list[float] = []         # |lg| per node of the current level
-        self.run0 = self.run1 = 0.0         # running sums of the first and last entry
+    def __init__(self, lg: Callable[[float, float, float], float], n: int, policy: QuadPolicy,
+                 lam: float | None = None, xs: list[float] | None = None):
+        self.lg, self.policy, self.lam = lg, policy, lam
+        self.n = n
+        self.open = list(range(n))          # entries not yet frozen
+        self.xs = list(xs or ())            # kernels: their x_j
+        # rounding charge besides |log f|: the exp and the weight product, and
+        # the j products of a power
+        self.ulps = [2.0] * n if lam else [j + 2.0 for j in range(n)]
+        if lam:
+            self._scale_thresholds()
+        self.rows: list[list[float]] = []   # per node: contributions of the open entries
+        self.logs: list = []                # per node: |log f|, per open entry for kernels
+        self.run0 = self.run1 = 0.0         # running sums of the weight and the last power
         self.last: list = [None, None, None]
         self.stranded: list = []
-        self.values = [0.0] * n
-        self.rounding = [0.0] * n
-        self.defect_prev = [math.inf] * n
-        self.est = [math.inf] * n
-        self.converged = [False] * n
-
-    def node(self, x: float, dlo: float, dhi: float, w: float, delta: float, side: int) -> bool:
-        try:
-            lf = self.lg(x, dlo, dhi)
-            c0 = w * math.exp(lf)
-        except OverflowError:
-            raise IntegrandError(f"integrand overflowed at x={x!r}") from None
-        row = list(accumulate(repeat(dlo, self.n - 1), mul, initial=c0))
-        if not math.isfinite(row[-1]):
-            raise IntegrandError(f"non-finite integrand contribution at x={x!r}")
-        self.rows.append(row)
-        self.logs.append(abs(lf) if c0 else 0.0)
-        self.last[side] = (row, delta / w)
-        self.run0 += c0
-        self.run1 += row[-1]
-        # the newest node of a side has the extreme offset of all nodes summed
-        # so far, so the ratio row[j] / run[j] is monotone in j and the first
-        # and last entries decide whether every entry is negligible
-        return c0 <= _NEGLIGIBLE * self.run0 and row[-1] <= _NEGLIGIBLE * self.run1
-
-    def forced(self, side: int) -> None:
-        if self.last[side] is not None:
-            self.stranded.append(self.last[side])
-
-    def settle(self, level: int, h: float) -> bool:
-        cols = list(zip(*self.rows)) if self.rows else [()] * self.n
-        logs = self.logs
-        if self.stranded:
-            scaled = [[16.0 * v * scale for v in row] for row, scale in self.stranded]
-            defects = [max(vs) for vs in zip(*scaled)]
-        else:
-            defects = [0.0] * self.n
-        self.rows, self.logs, self.stranded = [], [], []
-        self.run0 = self.run1 = 0.0
-        self.last = [None, None, None]
-        keep = 0.5 if level else 0.0
-        rel_tol, abs_tol = self.policy.rel_tol, self.policy.abs_tol
-        values, rounding, defect_prev = self.values, self.rounding, self.defect_prev
-        done = True
-        for j, col in enumerate(cols):
-            part = math.fsum(col)
-            old = values[j]
-            new = values[j] = keep * old + h * part
-            # rounding of exp(lg) (|lg| ulps), of the j power products and of
-            # the weight product, on top of the 4-ulp summation floor
-            rnd = rounding[j] = keep * rounding[j] + h * (
-                sum(map(mul, col, logs)) + (j + 2.0) * part)
-            if level:
-                self.est[j], stop, self.converged[j] = _verdict(
-                    level, abs(new - old), _EPS * (4.0 * new + rnd), defects[j],
-                    defect_prev[j], max(abs_tol, rel_tol * new))
-                done = done and stop
-            defect_prev[j] = defects[j]
-        return level > 0 and done
-
-    def results(self, n_evals: int) -> list[EvalResult]:
-        return [EvalResult(v, e, n_evals, c)
-                for v, e, c in zip(self.values, self.est, self.converged)]
-
-
-class _Kernels:
-    """Trapezoid sums of exp(lg(x, dlo, dhi)) * (1 + x_n x)**-lam over (0, 1), one
-    row per x_n in [0, 1], lam > 0, over one fan.
-
-    Each node evaluates the weight c0 = w exp(lg) once, then the factor of
-    every row still open.  The weight alone closes a side: every factor lies
-    in [(1 + x_max)**-lam, 1], x_max the largest open x_n (so at or above
-    2**-lam), and falls with x, so the newest node toward 1 carries the
-    smallest factor summed so far.  A node there whose weight is negligible
-    is therefore negligible for every row, and so is a node toward 0 whose
-    weight is negligible at (1 + x_max)**-lam times the threshold.  A row
-    freezes at the first level at which its own verdict stops, as its own
-    quadrature would; the fan stops once every row has frozen.
-    """
-
-    def __init__(self, lg: Callable[[float, float, float], float], lam: float,
-                 xs: list[float], policy: QuadPolicy):
-        self.lg, self.lam, self.policy = lg, lam, policy
-        self.open = list(range(len(xs)))    # rows not yet frozen
-        self.xs = list(xs)                  # their x_n
-        self._scale_thresholds()
-        self.rows: list[list[float]] = []   # per node: contributions of the open rows
-        self.logs: list[list[float]] = []   # per node: |log f| of the open rows
-        self.run = 0.0                      # running sum of the weight
-        self.last: list = [None, None, None]
-        self.stranded: list = []
-        n = len(xs)
         self.values = [0.0] * n
         self.rounding = [0.0] * n
         self.defect_prev = [math.inf] * n
@@ -352,7 +273,7 @@ class _Kernels:
         self.converged = [False] * n
 
     def _scale_thresholds(self) -> None:
-        # per side (toward 1, toward 0, centre) for the open rows
+        # kernels, per side (toward 1, toward 0, centre) for the open rows
         low = _NEGLIGIBLE * (1.0 + max(self.xs, default=0.0)) ** -self.lam
         self.thresholds = (_NEGLIGIBLE, low, low)
 
@@ -362,18 +283,26 @@ class _Kernels:
             c0 = w * math.exp(lg)
         except OverflowError:
             raise IntegrandError(f"integrand overflowed at x={x!r}") from None
-        if not math.isfinite(c0):
-            raise IntegrandError(f"integrand contribution overflowed at x={x!r}")
-        self.run += c0
-        self.last[side] = None
-        if c0:
+        if not c0:
+            self.last[side] = None
+            return True
+        self.run0 += c0
+        if self.lam:
             lam, log1p, exp = self.lam, math.log1p, math.exp
             logs = [lam * log1p(a * x) for a in self.xs]
             row = [c0 * exp(-v) for v in logs]
-            self.rows.append(row)
             self.logs.append([abs(lg - v) for v in logs])
-            self.last[side] = (row, delta / w)
-        return c0 <= self.thresholds[side] * self.run
+            negligible = c0 <= self.thresholds[side] * self.run0
+        else:
+            row = list(accumulate(repeat(dlo, self.n - 1), mul, initial=c0))
+            self.logs.append(abs(lg))
+            self.run1 += row[-1]
+            negligible = c0 <= _NEGLIGIBLE * self.run0 and row[-1] <= _NEGLIGIBLE * self.run1
+        if not math.isfinite(row[-1]):
+            raise IntegrandError(f"non-finite integrand contribution at x={x!r}")
+        self.rows.append(row)
+        self.last[side] = (row, delta / w)
+        return negligible
 
     def forced(self, side: int) -> None:
         if self.last[side] is not None:
@@ -382,47 +311,51 @@ class _Kernels:
     def settle(self, level: int, h: float) -> bool:
         n = len(self.open)
         cols = list(zip(*self.rows)) or [()] * n
-        log_cols = list(zip(*self.logs)) or [()] * n
+        log_cols = (list(zip(*self.logs)) or [()] * n) if self.lam else [self.logs] * n
         if self.stranded:
             defects = [16.0 * max(vs) for vs in zip(*(
                 [v * scale for v in row] for row, scale in self.stranded))]
         else:
             defects = [0.0] * n
         self.rows, self.logs, self.stranded = [], [], []
-        self.run = 0.0
+        self.run0 = self.run1 = 0.0
         self.last = [None, None, None]
         keep = 0.5 if level else 0.0
         rel_tol, abs_tol = self.policy.rel_tol, self.policy.abs_tol
         values, rounding, defect_prev = self.values, self.rounding, self.defect_prev
+        est, converged, ulps = self.est, self.converged, self.ulps
         still_open = []
         for i, j in enumerate(self.open):
             col = cols[i]
             part = math.fsum(col)
             old = values[j]
             new = values[j] = keep * old + h * part
-            # rounding of exp(lg - lam*log1p(x_n x)), |log f| + 2 ulps of each
-            # contribution, on top of the 4-ulp summation floor
-            rounding[j] = keep * rounding[j] + h * (sum(map(mul, col, log_cols[i])) + 2.0 * part)
+            rounding[j] = keep * rounding[j] + h * (
+                sum(map(mul, col, log_cols[i])) + ulps[j] * part)
             stop = False
             if level:
-                self.est[j], stop, self.converged[j] = _verdict(
+                est[j], stop, converged[j] = _verdict(
                     level, abs(new - old), _EPS * (4.0 * new + rounding[j]), defects[i],
                     defect_prev[j], max(abs_tol, rel_tol * new))
             defect_prev[j] = defects[i]
             if not stop:
                 still_open.append(i)
-        self.open = [self.open[i] for i in still_open]
-        self.xs = [self.xs[i] for i in still_open]
-        self._scale_thresholds()
+        if self.lam:
+            self.open = [self.open[i] for i in still_open]
+            self.xs = [self.xs[i] for i in still_open]
+            self._scale_thresholds()
+        elif not still_open:
+            self.open = []
         return not self.open
 
-    results = _Moments.results
+    def results(self, n_evals: int) -> list[EvalResult]:
+        return [EvalResult(v, e, n_evals, c)
+                for v, e, c in zip(self.values, self.est, self.converged)]
 
 
 def _tanh_sinh(g: Callable[[float, float, float], float], lo: float, hi: float,
-               policy: QuadPolicy, endpoint_safe: bool,
-               log_space: bool = False) -> EvalResult:
-    acc = _Sum(g, policy, log_space)
+               policy: QuadPolicy, endpoint_safe: bool) -> EvalResult:
+    acc = _Sum(g, policy)
     n_evals = _fan(acc, lo, hi, policy.max_refinements, policy.max_evals, endpoint_safe)
     return EvalResult(acc.value, acc.est, n_evals, acc.converged)
 
@@ -458,11 +391,15 @@ def integrate_finite_xc(g: Callable[[float, float, float], float], lo: float, hi
     precision to the coarse float grid near an endpoint of magnitude ~1
     (for example (1-t)**(y-1) near t = 1).
 
-    With log_space=True, g returns log f instead of f; the error floor then
-    also charges the rounding of exp(log f): eps * sum w*f*(|log f| + 2).
+    With log_space=True, g returns log f of a nonnegative f instead of f:
+    the integral is then the one-entry table integrate_log_moments(g, lo, hi,
+    1, policy)[0], whose error floor also charges the rounding of exp(log f),
+    eps * sum w*f*(|log f| + 2).
     """
+    if log_space:
+        return integrate_log_moments(g, lo, hi, 1, policy)[0]
     _check_interval(lo, hi)
-    return _tanh_sinh(g, lo, hi, policy, endpoint_safe=False, log_space=log_space)
+    return _tanh_sinh(g, lo, hi, policy, endpoint_safe=False)
 
 
 def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float, hi: float,
@@ -485,7 +422,7 @@ def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float,
     _check_interval(lo, hi)
     if n < 1:
         raise DomainError(f"integrate_log_moments needs n >= 1, got {n}")
-    acc = _Moments(lg, n, policy)
+    acc = _Rows(lg, n, policy)
     n_evals = _fan(acc, lo, hi, policy.max_refinements, n * policy.max_evals,
                    endpoint_safe=False)
     return acc.results(n_evals)
@@ -515,7 +452,7 @@ def integrate_log_kernels(lg: Callable[[float, float, float], float], lam: float
         raise DomainError(f"integrate_log_kernels needs lam > 0, got {lam}")
     if not all(0.0 <= x <= 1.0 for x in xs):
         raise DomainError("integrate_log_kernels needs every x_n in [0, 1]")
-    acc = _Kernels(lg, lam, xs, policy)
+    acc = _Rows(lg, len(xs), policy, lam, xs)
     n_evals = _fan(acc, 0.0, 1.0, policy.max_refinements, policy.max_evals,
                    endpoint_safe=False)
     return acc.results(n_evals)

@@ -75,6 +75,28 @@ def test_non_convergence_exit_code():
     assert "converged=false" in out.stdout
 
 
+def test_overflowed_kummer_series_exits_2(capsys):
+    from pqmathieu.cli import main
+    # the reflected series Phi_{q,p}(1; 2; 800) overflows to inf, which made
+    # its tolerance rel_tol*|sum| inf as well
+    assert main(["eval", "--target", "kummer", "--b", "1", "--c", "2", "--z", "-800",
+                 "--p", "0.5", "--q", "0.5"]) == 2
+    assert "converged=false" in capsys.readouterr().out
+
+
+def test_integrand_overflow_exits_1_with_one_line(capsys):
+    from pqmathieu.cli import main
+    for argv in (["eval", "--target", "gauss", "--a", "500", "--b", "1", "--c", "2",
+                  "--z", "0.99", "--p", "0", "--q", "0"],
+                 ["eval", "--target", "beta", "--x", "-800", "--y", "1", "--p", "0.001",
+                  "--q", "0"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("integrand error: integrand overflowed at x=")
+        assert err.count("\n") == 1
+
+
 def test_usage_errors_exit_64():
     # a command line argparse rejects is EX_USAGE, apart from 2 (unconverged)
     out = run_cli("eval", "--target", "mathieu", "--bogus", "1")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pqmathieu.errors import DomainError, IntegrandError
 from pqmathieu.quadrature import (DEFAULT_POLICY, QuadPolicy, integrate_finite,
                                   integrate_finite_xc, integrate_log_kernels,
-                                  integrate_to_infinity)
+                                  integrate_log_moments, integrate_to_infinity)
 from pqmathieu.verification import golden_integrals
 
 # midpoint-rule oracle, 10^7 panels (tests/make_oracles.py), mpmath-confirmed
@@ -138,6 +138,21 @@ def test_kernel_family_closed_forms():
     for lam, bad in ((1.0, []), (0.0, [0.5]), (1.0, [1.5]), (1.0, [-0.1])):
         with pytest.raises(DomainError):
             integrate_log_kernels(flat, lam, bad)
+
+
+def test_moment_table_closed_forms():
+    # the integral of (x - 1)^j over (1, 3) is 2^(j+1)/(j+1); with lg = 0 the
+    # documented floor is 4 ulps of summation plus j + 2 of rounding, less the
+    # rounding of the floor's own sums
+    flat = lambda x, dlo, dhi: 0.0
+    for n in (1, 2, 33, 64):
+        for j, res in enumerate(integrate_log_moments(flat, 1.0, 3.0, n)):
+            exact = 2.0 ** (j + 1) / (j + 1)
+            assert res.converged, (n, j)
+            assert abs(res.value - exact) <= res.err_est + 0.5 * math.ulp(exact), (n, j)
+            assert res.err_est >= (1.0 - 1e-12) * (j + 6) * math.ulp(1.0) * res.value, (n, j)
+    with pytest.raises(DomainError):
+        integrate_log_moments(flat, 1.0, 3.0, 0)
 
 
 def test_error_honesty_golden_suite():
