@@ -334,9 +334,17 @@ class _Rows:
                 sum(map(mul, col, log_cols[i])) + ulps[j] * part)
             stop = False
             if level:
+                err = abs(new - old)
+                # a fan that has not yet sampled a narrow peak of the weight
+                # jumps or halves its sum from level to level, and two coarse
+                # levels may agree by chance; until two successive differences
+                # lie within half the value they bound nothing, so abs_tol may
+                # not stop the entry
+                resolved = 2.0 * max(err, est[j]) <= new
+                tol = max(abs_tol, rel_tol * new) if resolved else rel_tol * new
                 est[j], stop, converged[j] = _verdict(
-                    level, abs(new - old), _EPS * (4.0 * new + rounding[j]), defects[i],
-                    defect_prev[j], max(abs_tol, rel_tol * new))
+                    level, err, _EPS * (4.0 * new + rounding[j]), defects[i],
+                    defect_prev[j], tol)
             defect_prev[j] = defects[i]
             if not stop:
                 still_open.append(i)

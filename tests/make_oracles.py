@@ -68,6 +68,21 @@ def o_beta_large_pq():
         print(f"O_BETA_LARGE_PQ gauss-legendre(240 pieces, dps {dps}) = {mp.nstr(gl, 28)}")
 
 
+def o_beta_narrow_peak():
+    # B(182,1;132,150) = integral of t^181 exp(-132/t - 150/(1-t)): as for
+    # O_BETA_LARGE_PQ every derivative vanishes at both endpoints, and N =
+    # 1000, 2000, 4000 agree with Gauss-Legendre on 240 pieces at 40 and 60
+    # digits to 28 digits.  The peak sits at t ~ 0.565 with width ~ 0.013.
+    f = lambda t: t ** 181 * mp.exp(-mp.mpf(132) / t - mp.mpf(150) / (1 - t))
+    for n in (1000, 2000, 4000):
+        trap = mp.fsum(f(mp.mpf(k) / n) for k in range(1, n)) / n
+        print(f"O_BETA_NARROW_PEAK trapezoid({n}) = {mp.nstr(trap, 28)}")
+    for dps in (40, 60):
+        with mp.workdps(dps):
+            gl = mp.quad(f, mp.linspace(0, 1, 241), method="gauss-legendre")
+        print(f"O_BETA_NARROW_PEAK gauss-legendre(240 pieces, dps {dps}) = {mp.nstr(gl, 28)}")
+
+
 def o_kummer_half():
     # 1F1(1/2; 3/2; -2) = sum (-2)^n / ((2n+1) n!), exact rationals
     s = Fraction(0)
@@ -154,6 +169,7 @@ if __name__ == "__main__":
     o_exp_well()
     o_beta_half()
     o_beta_large_pq()
+    o_beta_narrow_peak()
     o_kummer_half()
     o_ext_kummer()
     o_mathieu_log()

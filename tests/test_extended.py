@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqmathieu.classical import HyperTriple, beta, gauss_2f1, kummer_1f1
@@ -22,6 +22,9 @@ O_EXT_KUMMER = 0.3083466827082625
 # B(1,1;139,29): trapezoid rule and Gauss-Legendre at 40-60 digits
 # (tests/make_oracles.py)
 O_BETA_LARGE_PQ = 3.722978487050339126e-130
+# B(182,1;132,150): trapezoid rule and Gauss-Legendre at 40-60 digits
+# (tests/make_oracles.py)
+O_BETA_NARROW_PEAK = 3.644191114407688595e-298
 
 
 def test_pq_validation():
@@ -65,12 +68,23 @@ def test_large_pq_error_estimate_covers_oracle():
         assert res.err_est >= abs(res.value - O_BETA_LARGE_PQ)
 
 
+def test_narrow_peak_below_abs_tol_is_resolved():
+    # the weight peaks at t ~ 0.565 with width ~ 0.013 and the integral lies
+    # below 1e-288, where abs_tol = 1e-300 outweighs rel_tol * value; the
+    # coarse levels only see the flank at t = 1/2 and halve their sum
+    res = extended_beta(182.0, 1.0, PQParams(132.0, 150.0))
+    assert res.converged
+    assert abs(res.value - O_BETA_NARROW_PEAK) <= res.err_est
+    assert res.err_est <= DEFAULT_POLICY.abs_tol
+
+
 _TABLE_ARGS = (st.floats(0.1, 3.0, exclude_min=True), st.floats(0.1, 3.0, exclude_min=True),
                st.floats(0.0, 150.0), st.floats(0.0, 150.0), st.integers(1, 200))
 
 
 @settings(max_examples=20, deadline=None)
 @given(*_TABLE_ARGS)
+@example(1.0, 1.0, 132.0, 150.0, 182)  # the last entry's scalar used to stop before the peak
 def test_beta_table_matches_scalar(x0, y, p, q, n):
     pq = PQParams(p, q)
     table = extended_beta_table(x0, y, pq, n)
