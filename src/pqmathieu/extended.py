@@ -363,6 +363,8 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
         scale = math.exp(z)
         value = scale * res.value
     else:
+        if res.value == 0.0:
+            raise DomainError(f"extended_kummer underflows at z={z!r}: reflected series is 0")
         value = math.exp(z + math.log(res.value))
         scale = value / res.value
     return EvalResult(value, scale * res.err_est, res.n_work, res.converged)

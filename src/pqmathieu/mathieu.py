@@ -35,9 +35,9 @@ tail there.  Every power tail beyond them, plain or alternating, is a
 Hurwitz zeta sum and comes from one primitive (_hurwitz_zeta: Euler-Maclaurin
 with a provable remainder), its exponent carried as an exact pair such as
 lam+eta+m, so that t - 1 keeps its digits as the tails approach divergence.
-The counting-weight power integrals of the bounds are the constant kernel
-1 = 2F1(s, 0; c; z), kappa_m = (s)_m/m!, on the same path; u_integral also
-accepts r^2 > a_1 and integrates the few panels left of r^2 by quadrature.
+The bounds' counting-weight power integrals (constant kernel, kappa_m =
+(s)_m/m!) Abel-sum their weighted panels instead: order m is then a power
+sum sum_N v_N, and the bound's four integrals read one column of them.
 All remainders, including the omitted expansion orders and the rounding,
 are tracked and reported in err_est.
 """
@@ -556,19 +556,17 @@ def mathieu_alternating_direct(params: MathieuParams, policy: QuadPolicy = DEFAU
 
 
 def _cahen_engine(coeffs: _KernelCoeffs, s1: tuple[float, float], seq: SequenceSpec,
-                  r2: float, alternating: bool, policy: QuadPolicy, first: int = 1,
-                  head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
-    # the integral over (a_first, inf) of -f' against the weight, f the
+                  r2: float, alternating: bool, policy: QuadPolicy) -> EvalResult:
+    # the integral over (a_1, inf) of -f' against the weight, f the
     # expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m) with c_m from coeffs:
     # panel N of order m integrates to c_m r^(2m) (v_N - v_(N+1)),
-    # v_n = (a_n+r^2)^-(s1+m); panels n < first are already summed,
-    # weighted, in head.  The tails' sums (odd N only for the parity weight)
-    # come first, so a divergent s1 raises before any panel grows coeffs
+    # v_n = (a_n+r^2)^-(s1+m).  The tails' sums (odd N only for the parity
+    # weight) come first, so a divergent s1 raises before any panel grows coeffs
     a_start = _series_tail_start(seq, r2)
     sums = _PowerSums(seq, r2, s1, a_start | 1 if alternating else a_start, alternating)
-    err = head.err_est
-    parts = [head.value]
-    for n in range(first, a_start):
+    err = 0.0
+    parts = []
+    for n in range(1, a_start):
         if alternating and n % 2 == 0:
             continue  # parity weight vanishes on even panels: skip exactly
         w_n = 1.0 if alternating else float(n)
@@ -591,8 +589,7 @@ def _cahen_engine(coeffs: _KernelCoeffs, s1: tuple[float, float], seq: SequenceS
     value = math.fsum(parts) + tail
     err += tail_err
     tol = max(policy.abs_tol, policy.rel_tol * abs(value))
-    return EvalResult(value, err, head.n_work + sums.work + coeffs.work,
-                      err <= tol and head.converged)
+    return EvalResult(value, err, sums.work + coeffs.work, err <= tol)
 
 
 def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternating: bool,
@@ -641,15 +638,74 @@ def mathieu_alt_via_integral(params: MathieuParams,
     return _representation(params, policy, alternating=True)
 
 
+class _PowerColumn:
+    """C_j = f u_f^-(s0+j) + sum_{n>f} u_n^-(s0+j), u_n = a_n + r^2: the
+    counting-weight panels N >= f of expansion order j, Abel-summed
+    (sum_{N>=f} N (v_N - v_(N+1)) = (f-1) v_f + sum_{N>=f} v_N).  Terms
+    n < A are summed directly, charging (2 sigma + 3) ulps and the low part
+    of sigma = s0+j; _PowerSums at A gives the rest.  C_(j+1) <= C_j/u_f, so
+    orders read it at ratio w = r^2/u_f, at most 1/2 when a_f >= r^2.  The
+    plain sum of m_top orders rounds at most m_top/2 ulps of their size,
+    each product 2 more and each coefficient 3m.  The column is that of
+    a_n 2^-e and r^2 2^-e, scaled exactly so that u_f lies in [1, 2) and no
+    power u_n^-(s0+j) overflows; an integral of the scaled problem is 2^(e s1)
+    times that of the unscaled one, s1 = alpha+beta-1."""
+
+    def __init__(self, seq: SequenceSpec, r2: float, s0: tuple[float, float], first: int):
+        self.e = math.frexp(seq.value(first) + r2)[1] - 1
+        seq, r2 = SequenceSpec(math.ldexp(seq.scale, -self.e), seq.exponent), math.ldexp(r2, -self.e)
+        self.sums = _PowerSums(seq, r2, s0, _series_tail_start(seq, r2), False)  # may raise
+        self.s0, self.first, self.r2 = s0, first, r2
+        self.us = [seq.value(n) + r2 for n in range(first, self.sums.a)]
+        self.w, self.log_u = r2 / self.us[0], math.log(self.us[-1])  # 1 <= u_f <= u_n
+        self.entries: list[tuple[float, float, int]] = []  # value, err, zeta terms so far
+
+    def integral(self, alpha: float, offset: int, policy: QuadPolicy,
+                 head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
+        # head + I(alpha, beta) over (a_f, inf), alpha+beta-1 = s0+offset, as
+        # sum_m kappa_m/sigma_m r^(2m) C_(m+offset); work: the entries' zetas
+        m_top = _orders(alpha, self.w, 1e-16)[0]
+        a, k = self.sums.a, self.sums.seq.exponent
+        while len(self.entries) <= offset + m_top:
+            sig, lo = _plus(self.s0, float(len(self.entries)))
+            terms = [u ** -sig for u in self.us]
+            terms[0] *= self.first
+            direct = math.fsum(terms)
+            # the tail from A is at most a_A^-sig (1 + A/(k sig - 1)); once
+            # that falls under eps/4 of the direct sum, it stands in for the zetas
+            tail, err = 0.0, (self.sums.seq.value(float(a)) ** -sig * (1.0 + a / (k * sig - 1.0))
+                              if k * sig >= 2.0 else math.inf)
+            if err > 0.25 * _EPS * direct:
+                tail, err, _ = self.sums(len(self.entries))
+            err += ((2.0 * sig + 3.0) * _EPS + abs(lo) * self.log_u) * direct
+            self.entries.append((direct + tail, err + 0.5 * _EPS * (direct + tail),
+                                 self.sums.work))
+
+        def order_tail(m: int) -> tuple[float, float, float]:
+            c, c_err, _ = self.entries[m + offset]
+            return c, c_err + (0.5 * m_top + 3.0 * m + 2.0) * _EPS * c, c
+
+        s1 = _plus(self.s0, float(offset))
+        coeffs = _KernelCoeffs(alpha, 0.0, 1.0, PQParams(), policy, "classical", s1)
+        tail, err = _power_tail(coeffs, self.r2, self.w, order_tail)
+        # 2^(-e s1) rounds once, drops the low part of s1, and its product once
+        scale = math.ldexp(1.0, -self.e) ** s1[0]
+        err += (2.0 * _EPS + abs(s1[1] * self.e)) * abs(tail) if self.e else 0.0
+        value, err = head.value + scale * tail, scale * err + head.err_est
+        work = self.entries[offset + m_top][2] - (self.entries[offset - 1][2] if offset else 0)
+        tol = max(policy.abs_tol, policy.rel_tol * abs(value))
+        return EvalResult(value, err, head.n_work + work, err <= tol and head.converged)
+
+
 def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
                policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Counting-weight power integral over (a_1, inf):
     integral of [a^-1(x)] / (x^lam (x+r^2)^eta) dx.
 
-    The constant kernel 1 is 2F1(lam, 0; c; z), so this is the classical
-    counting-weight integral at b = 0: its panels and tail run through the
-    same expansion, with the binomial coefficients kappa_m = (lam)_m/m! of
-    x^-lam = (x+r^2)^-lam (1-w)^-lam (negative for m >= 1 when lam < 0).
+    x^-lam = (x+r^2)^-lam (1-w)^-lam, w = r^2/(x+r^2), expands in the
+    binomial coefficients kappa_m = (lam)_m/m! (negative for m >= 1 when
+    lam < 0).  Weighted by N and Abel-summed, the panels from the first
+    a_N >= r^2 on are one column of power sums (_PowerColumn) for all orders.
 
     r^2 > a_1 is accepted: the panels left of r^2 have ratio w above 1/2,
     where the expansion converges too slowly, so they are integrated by
@@ -658,15 +714,14 @@ def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
     if not (r > 0.0):
         raise DomainError("u_integral requires r > 0")
     r2, inner = r * r, _inner_policy(policy)
-    s1 = _plus(_plus((lam, 0.0), eta), -1.0)
     power = lambda x, dl, dh: math.exp(-lam * math.log(x)) * (x + r2) ** (-eta)
     near = [integrate_finite_xc(power, seq.value(n), seq.value(n + 1), inner)  # a_n < r^2
             for n in range(1, counting_value(seq, math.nextafter(r2, 0.0)) + 1)]
     head = EvalResult(math.fsum(n * q.value for n, q in enumerate(near, 1)),
                       math.fsum(n * q.err_est for n, q in enumerate(near, 1)),
                       sum(q.n_work for q in near), all(q.converged for q in near))
-    coeffs = _KernelCoeffs(lam, 0.0, 1.0, PQParams(), inner, "classical", s1)
-    return _cahen_engine(coeffs, s1, seq, r2, False, policy, first=len(near) + 1, head=head)
+    column = _PowerColumn(seq, r2, _plus(_plus((lam, 0.0), eta), -1.0), len(near) + 1)
+    return column.integral(lam, 0, policy, head)
 
 
 def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
@@ -730,11 +785,12 @@ def bound_mathieu_rhs(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY
     coefficients, and four counting-weight power integrals (u_integral
     rejects the divergent ones, lam+eta <= 1 + 1/k)."""
     _check_bound_window(params)
+    # u_integral at (lam+1, eta), (lam, eta), (lam, eta+1), (lam-1, eta+1): one
+    # column at s0 = lam+eta-1 exactly, read at offsets 1, 0, 1, 0 (from N = 1)
     lam, eta = params.lam, params.eta
-    parts = [u_integral(params.seq, al, be, params.r, policy)
-             for al, be in ((lam + 1.0, eta), (lam, eta), (lam, eta + 1.0),
-                            (lam - 1.0, eta + 1.0))]
-    return _luke_bound(params, parts, policy)
+    column = _PowerColumn(params.seq, params.r * params.r, _plus(_plus((lam, 0.0), eta), -1.0), 1)
+    return _luke_bound(params, [column.integral(alpha, offset, policy) for alpha, offset
+                                in ((lam + 1.0, 1), (lam, 0), (lam, 1), (lam - 1.0, 0))], policy)
 
 
 def bound_mathieu_alt_rhs(params: MathieuParams,

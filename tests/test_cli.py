@@ -84,6 +84,15 @@ def test_overflowed_kummer_series_exits_2(capsys):
     assert "converged=false" in capsys.readouterr().out
 
 
+def test_underflowed_kummer_reflection_exits_1_with_one_line(capsys):
+    from pqmathieu.cli import main
+    assert main(["eval", "--target", "kummer", "--b", "1", "--c", "2", "--z", "-200",
+                 "--p", "700", "--q", "700"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "domain error: extended_kummer underflows at z=-200.0: reflected series is 0\n"
+
+
 def test_integrand_overflow_exits_1_with_one_line(capsys):
     from pqmathieu.cli import main
     for argv in (["eval", "--target", "gauss", "--a", "500", "--b", "1", "--c", "2",

@@ -303,6 +303,13 @@ def test_extended_kummer_domain():
         extended_kummer(2.0, 1.0, 0.5, PQParams())
 
 
+def test_extended_kummer_reflected_underflow_is_domain_error():
+    # at z = -200, p = q = 700 the reflected series carries the envelope
+    # e^-2800 and underflows to 0, whose log the reflection cannot take
+    with pytest.raises(DomainError, match=r"underflows at z=-200\.0"):
+        extended_kummer(1.0, 2.0, -200.0, PQParams(700.0, 700.0))
+
+
 def test_kummer_table_matches_direct_evaluation():
     b, c = 0.8, 2.0
     pq = PQParams(0.3, 0.7)

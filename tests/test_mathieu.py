@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pqmathieu.mathieu as mathieu
 from pqmathieu.classical import gauss_2f1_raw
 from pqmathieu.errors import DivergenceError, DomainError
 from pqmathieu.extended import PQParams, extended_gauss_integral
@@ -494,6 +496,19 @@ def test_u_integral_r2_above_a1(alpha, beta, r2):
     assert abs(res.value - _u_reference(alpha, beta, r2)) <= res.err_est
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1e8])
+def test_u_integral_at_extreme_sequence_scales(scale):
+    # a_n = s n at r^2 = a_1: alpha = 2 keeps 140 orders, whose powers
+    # (a_n+r^2)^-(s0+m) and r^(2m) leave the double range unless the column
+    # is scaled; the integral is s^-(alpha+beta-1) times that of a_n = n
+    r = math.sqrt(scale)
+    res = u_integral(SequenceSpec.power(scale, 1.0), 2.0, 1.5, r)
+    assert res.converged
+    with mp.workdps(40):
+        ref = mp.mpf(scale) ** -2.5 * _u_reference(2.0, 1.5, mp.mpf(r * r) / scale)
+    assert abs(res.value - ref) <= res.err_est
+
+
 @pytest.mark.parametrize("alpha", [-0.9, 0.5, 3.0, 12.0])
 @pytest.mark.parametrize("w", [0.5, 0.3, 1.0 / 9.0])
 def test_omitted_orders_bound(alpha, w):
@@ -505,6 +520,65 @@ def test_omitted_orders_bound(alpha, w):
         kappa.append(kappa[-1] * (alpha + j) / (j + 1.0))
     omitted = math.fsum(abs(kappa[j]) * w ** j for j in range(m, len(kappa)))
     assert omitted <= omit * abs(kappa[m]) * w ** m
+
+
+def _abel_reference(alpha, beta, r2, k):
+    # u_integral = sum_n G(a_n), a_n = n^k, G(a) the integral of
+    # x^-alpha (x+r^2)^-beta over (a, inf) in closed_tail_2f1's form
+    # 2F1(beta, s-1; s; -r^2/a) / ((s-1) a^(s-1)), s = alpha+beta: summed
+    # directly to N = 3000, then Euler-Maclaurin at N at 25 digits; the
+    # integral runs in y = log(x/N), where tanh-sinh meets an exponential
+    # decay (over x itself it is 5e-15 off at k = 2)
+    with mp.workdps(25):
+        s, rr = mp.mpf(alpha) + mp.mpf(beta), mp.mpf(r2)
+
+        def g(x):
+            a = x ** k
+            return mp.hyp2f1(beta, s - 1, s, -rr / a) / ((s - 1) * a ** (s - 1))
+
+        n_top = 3000
+        head = mp.fsum(g(mp.mpf(n)) for n in range(1, n_top))
+        em = (mp.quad(lambda y: g(n_top * mp.exp(y)) * n_top * mp.exp(y), [0, mp.inf])
+              + g(mp.mpf(n_top)) / 2
+              - mp.diff(g, n_top, 1) / 12 + mp.diff(g, n_top, 3) / 720)
+        return head + em
+
+
+@pytest.mark.parametrize("alpha,beta,r,k", [(2.0, 1.5, 0.6, 1.0), (0.5, 2.8, 0.9, 1.0),
+                                            (-0.3, 3.5, 0.6, 1.0), (-0.25, 2.0, 0.8, 2.0)])
+def test_u_integral_against_abel_summation(alpha, beta, r, k):
+    # an oracle independent of the expansion, the panels and the zetas; the
+    # k = 2 point is the (lam-1, eta+1) child of a bound at lam = 0.75, eta = 1
+    res = u_integral(SequenceSpec.power(1.0, k), alpha, beta, r)
+    assert res.converged
+    assert abs(res.value - _abel_reference(alpha, beta, r * r, k)) <= res.err_est
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4096), st.integers(1, 6144), st.floats(0.01, 0.999),
+       st.sampled_from((1.0, 2.0)))
+@example(3072, 1, 0.95, 1.0)  # lam+eta = 2 + 2^-12, at the convergence cliff
+def test_bound_children_read_one_column(i, j, r, k):
+    # lam in (0, 1] and lam+eta-(1+1/k) in (0, 1.5] on a 2^-12 grid, so that
+    # lam+1, lam-1 and eta+1 are exact and each standalone u_integral runs at
+    # the exponent the bound's shared column reads; r^2 < a_1
+    lam = i / 4096.0
+    eta = 1.0 + 1.0 / k + j / 4096.0 - lam
+    params = MathieuParams(lam, eta, r, 1.0, 2.0, PQ0, SequenceSpec.power(1.0, k))
+    kids = []
+    assemble = mathieu._luke_bound
+
+    def capture(p, parts, policy):  # the children the bound assembles
+        kids.extend(parts)
+        return assemble(p, parts, policy)
+
+    with mock.patch.object(mathieu, "_luke_bound", capture):
+        bound = bound_mathieu_rhs(params)
+    for kid, (alpha, beta) in zip(kids, ((lam + 1.0, eta), (lam, eta), (lam, eta + 1.0),
+                                         (lam - 1.0, eta + 1.0))):
+        alone = u_integral(params.seq, alpha, beta, r)
+        assert abs(kid.value - alone.value) <= kid.err_est + alone.err_est
+    assert len(kids) == 4 and bound.n_work == sum(kid.n_work for kid in kids)
 
 
 def test_u_integral_monotone_in_r():
