@@ -8,9 +8,9 @@ evaluation routes are provided and cross-checked:
   the head kernels all come from one shared tanh-sinh node fan
   (extended_gauss_fan), since their Euler integrands differ only by the
   factor (1 + r^2 t/a_n)^-lam,
-* the closed integral representation with the counting-function weight
-  (evaluated as exact interval sums, so the weight jumps always land on
-  panel boundaries),
+* the closed integral representation with the counting weight, or its
+  parity for the alternating series (integrated term by term and
+  Abel-summed, so the weight's jumps never meet a quadrature node),
 * printed upper bounds built from Luke's rational bound and the envelope
   factor.
 
@@ -26,18 +26,20 @@ when r^2 <= a_1 (MathieuParams requires it), so the expansion converges
 uniformly.  The representation lam I(lam+1, eta) + eta I(lam, eta+1) is one
 integral, of -f' for f the s = lam, t = eta kernel power above: with
 lam (lam+1)_m = (lam)_m (lam+m) its order m is kappa_m (lam+eta+m)
-(x+r^2)^-(lam+eta+m+1), so panel [a_N, a_(N+1)] integrates it exactly to
-kappa_m r^(2m) (v_N - v_(N+1)), v_n = (a_n+r^2)^-(lam+eta+m): every panel
-is a sum over orders, with no quadrature.  A single I(alpha, beta) has the
-same form at coefficients kappa_m/sigma_m, sigma_m = alpha+beta-1+m.
-Both routes run once: head terms or panels below one tail start, then one
-tail there.  Every power tail beyond them, plain or alternating, is a
-Hurwitz zeta sum and comes from one primitive (_hurwitz_zeta: Euler-Maclaurin
-with a provable remainder), its exponent carried as an exact pair such as
+(x+r^2)^-(lam+eta+m+1), which integrates over [a_N, a_(N+1)] to
+kappa_m r^(2m) (v_N - v_(N+1)), v_n = (a_n+r^2)^-(lam+eta+m), with no
+quadrature.  Weighted by N, these Abel-sum to the power sum sum_{n>=1} v_n;
+weighted by the parity of N, to sum_{n>=1} (-1)^(n+1) v_n.  A single
+I(alpha, beta) has the same form at coefficients kappa_m/sigma_m,
+sigma_m = alpha+beta-1+m, and so do the bounds' counting-weight power
+integrals (constant kernel, kappa_m = (s)_m/m!).  Every one of them reads
+one column of such power sums (_PowerColumn), one entry per order; the
+bound's four integrals share one.  The column and the direct route sum
+their terms below one tail start directly and complete them with one
+tail there.  Every power tail, plain or alternating, is a Hurwitz zeta sum
+and comes from one primitive (_hurwitz_zeta: Euler-Maclaurin with a
+provable remainder), its exponent carried as an exact pair such as
 lam+eta+m, so that t - 1 keeps its digits as the tails approach divergence.
-The bounds' counting-weight power integrals (constant kernel, kappa_m =
-(s)_m/m!) Abel-sum their weighted panels instead: order m is then a power
-sum sum_N v_N, and the bound's four integrals read one column of them.
 All remainders, including the omitted expansion orders and the rounding,
 are tracked and reported in err_est.
 """
@@ -394,23 +396,21 @@ class _PowerSums:
 
 
 def _series_tail_start(seq: SequenceSpec, r2: float) -> int:
-    # the one tail start of both routes: r^2/(a+r^2) <= 1/9 puts the tail bound
-    # at rounding level there, so a later start could not mend a miss
+    # the one tail start of the direct route and of the power-sum column:
+    # r^2/(a+r^2) <= 1/9 puts the tail bound at rounding level there, so a
+    # later start could not mend a miss
     a = 33
     if r2 > 0.0:
         a = max(a, int(math.ceil(seq.inverse(8.0 * r2))) + 1)
     return a
 
 
-def _orders(alpha: float, w: float, target: float,
-            sigma: float = math.inf) -> tuple[int, float]:
+def _orders(alpha: float, w: float, target: float) -> tuple[int, float]:
     # expansion orders m kept at ratio w (w^m/(1-w) <= target, 3..140) and
     # the factor 1/(1-q) by which |kappa_m| w^m bounds all omitted orders:
     # |kappa_{j+1}/kappa_j| w <= (|alpha|+j)/(j+1) w (the Beta or (c-b)_j
     # ratio is <= 1), which for every j >= m stays below
-    # q = w max(1, (|alpha|+m)/(m+1)); m grows while q > 1/2.  Terms that
-    # also grow by sigma_(j+1)/sigma_j, sigma_j = sigma+j > 0, take that
-    # ratio at j = m into q
+    # q = w max(1, (|alpha|+m)/(m+1)); m grows while q > 1/2
     if w <= 0.0:
         return 2, 1.0
     m = min(max(int(math.ceil(math.log(target * (1.0 - w)) / math.log(w))) + 1, 3), 140)
@@ -418,19 +418,18 @@ def _orders(alpha: float, w: float, target: float,
     while q > 0.5 and m < 140:
         m += 1
         q = w * max(1.0, (abs(alpha) + m) / (m + 1.0))
-    q *= 1.0 + 1.0 / (sigma + m)
     return m, (1.0 / (1.0 - q) if q < 1.0 else math.inf)
 
 
 def _power_tail(coeffs: _KernelCoeffs, r2: float, w: float,
                 order_tail: Callable[[int], tuple[float, float, float]]) -> tuple[float, float]:
-    # sum_m kappa_m r^(2m) T_m over the orders kept at ratio w (<= the ratio
-    # on every panel of the tail); order_tail(m) gives T_m, its error bound
-    # and an M_m such that the omitted orders j >= m_top add at most
-    # |kappa_m_top| r^(2 m_top) M_m_top / (1-q), q as in _orders
+    # sum_m kappa_m r^(2m) T_m over the orders kept at ratio w (at least
+    # r^2/(a_n+r^2) on every power that T_m sums); order_tail(m) gives T_m,
+    # its error bound and an M_m such that the omitted orders j >= m_top add
+    # at most |kappa_m_top| r^(2 m_top) M_m_top / (1-q), q as in _orders
     m_top, omit = _orders(coeffs.alpha, w, 1e-16)
     coeffs.grow(m_top + 1)
-    tail = 0.0
+    terms = []
     err = 0.0
     for m in range(m_top + 1):
         t_m, b_m, major = order_tail(m)
@@ -438,49 +437,12 @@ def _power_tail(coeffs: _KernelCoeffs, r2: float, w: float,
         weight = coeffs.values[m] * r2m
         err += coeffs.err_values[m] * r2m * abs(t_m) + abs(weight) * b_m
         if m < m_top:
-            tail += weight * t_m
+            terms.append(weight * t_m)
         else:
             err += omit * abs(weight) * major
-    return tail, err
-
-
-def _panel(coeffs: _KernelCoeffs, s1: tuple[float, float], r2: float, lo: float,
-           hi: float) -> tuple[float, float]:
-    """sum_m c_m r^(2m) (v(lo) - v(hi)), v(x) = (x+r^2)^-(s1+m), with its
-    error bound: the integral over [lo, hi] of -f' for
-    f = sum_m c_m r^(2m) (x+r^2)^-(s1+m), c_m the coefficients.
-
-    With u = lo+r^2, w = r^2/u and L = -log1p((hi-lo)/u), order m is
-    u^-s1 c_m w^m e_m, e_m = -expm1((s1+m) L), which keeps its digits on
-    thin panels where the difference of the two powers cancels.  e_m grows
-    with m by at most sigma_(m+1)/sigma_m, sigma_m = s1+m, so the omitted
-    orders add |c_m| w^m e_m / (1-q) at the first one (_orders, which takes
-    that growth into q unless the coefficients carry the 1/sigma_m that
-    cancels it); the coefficient errors are integrated the same way.
-    Rounding: eps (4m+16) |term| covers w^m, c_m (3m) and e_m, and
-    eps |log u| (1+s1) |term| the power u^-s1, the low part of s1 dropped.
-    """
-    u = lo + r2
-    w = r2 / u
-    big_l = -math.log1p((hi - lo) / u)
-    s, s_lo = s1
-    m_n, omit = _orders(coeffs.alpha, w, 1e-15, s if coeffs.sigma is None else math.inf)
-    coeffs.grow(m_n + 1)
-    log_term = abs(math.log(u)) * (1.0 + s + abs(s_lo) / _EPS)
-    terms = []
-    rnd = 0.0
-    coef_err = 0.0
-    wpow = 1.0
-    for m in range(m_n):
-        we = wpow * -math.expm1((s + m) * big_l)
-        term = coeffs.values[m] * we
-        terms.append(term)
-        rnd += (4.0 * m + 16.0 + log_term) * abs(term)
-        coef_err += coeffs.err_values[m] * we
-        wpow *= w
-    trunc = omit * abs(coeffs.values[m_n]) * wpow * -math.expm1((s + m_n) * big_l)
-    scale = u ** -s
-    return scale * math.fsum(terms), scale * (_EPS * rnd + coef_err + trunc)
+    # the orders' sum rounds once, at half an ulp of the total
+    tail = math.fsum(terms)
+    return tail, err + 0.5 * _EPS * abs(tail)
 
 
 def _inner_policy(policy: QuadPolicy) -> QuadPolicy:
@@ -555,41 +517,82 @@ def mathieu_alternating_direct(params: MathieuParams, policy: QuadPolicy = DEFAU
 # integral representation with the counting weight
 
 
-def _cahen_engine(coeffs: _KernelCoeffs, s1: tuple[float, float], seq: SequenceSpec,
-                  r2: float, alternating: bool, policy: QuadPolicy) -> EvalResult:
-    # the integral over (a_1, inf) of -f' against the weight, f the
-    # expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m) with c_m from coeffs:
-    # panel N of order m integrates to c_m r^(2m) (v_N - v_(N+1)),
-    # v_n = (a_n+r^2)^-(s1+m).  The tails' sums (odd N only for the parity
-    # weight) come first, so a divergent s1 raises before any panel grows coeffs
-    a_start = _series_tail_start(seq, r2)
-    sums = _PowerSums(seq, r2, s1, a_start | 1 if alternating else a_start, alternating)
-    err = 0.0
-    parts = []
-    for n in range(1, a_start):
-        if alternating and n % 2 == 0:
-            continue  # parity weight vanishes on even panels: skip exactly
-        w_n = 1.0 if alternating else float(n)
-        val, p_err = _panel(coeffs, s1, r2, seq.value(n), seq.value(n + 1))
-        parts.append(w_n * val)
-        err += w_n * p_err
+class _PowerColumn:
+    """C_j = f u_f^-(s0+j) + sum_{n>f} u_n^-(s0+j), u_n = a_n + r^2: the
+    counting-weight panels N >= f of expansion order j, Abel-summed
+    (sum_{N>=f} N (v_N - v_(N+1)) = (f-1) v_f + sum_{N>=f} v_N).  Under the
+    parity weight (alternating, f odd) the panels N >= f are odd N only,
+    and they sum to C_j = sum_{n>=f} (-1)^(n+1) u_n^-(s0+j) instead.  Terms
+    n < A are summed directly, with their signs, charging (2 sigma + 3) ulps
+    of their absolute sum and the low part of sigma = s0+j; _PowerSums at A
+    gives the rest.  C_(j+1) <= C_j/u_f, and under the parity weight
+    |C_j| <= u_f^-(s0+j), so orders read it at ratio w = r^2/u_f, at most
+    1/2 when a_f >= r^2.  Each order's product rounds 2 ulps of its size and
+    each coefficient 3m.  The column is that of a_n 2^-e and r^2 2^-e,
+    scaled exactly so that u_f lies in [1, 2) and no power u_n^-(s0+j)
+    overflows; an integral of the scaled problem is 2^(e s1) times that of
+    the unscaled one, s1 = s0 + the offset it reads from."""
 
-    def order_tail(m: int) -> tuple[float, float, float]:
-        # Abel summation: sum_{N>=A} N (v_N - v_(N+1)) = (A-1) v_A + sum_{N>=A} v_N;
-        # v_A charges the rounding of a_A + r^2 and of its power
-        sigma, lo = _plus(s1, float(m))
-        t_m, b_m, _ = sums(m)
-        head_v = (a_start - 1) * sums.u_a ** -sigma
-        t_m += head_v
-        b_m += ((2.0 * sigma + 3.0) * _EPS + abs(lo * math.log(sums.u_a))) * head_v
-        return t_m, b_m, abs(t_m)
+    def __init__(self, seq: SequenceSpec, r2: float, s0: tuple[float, float], first: int,
+                 alternating: bool = False):
+        self.e = math.frexp(seq.value(first) + r2)[1] - 1
+        seq, r2 = SequenceSpec(math.ldexp(seq.scale, -self.e), seq.exponent), math.ldexp(r2, -self.e)
+        self.sums = _PowerSums(seq, r2, s0, _series_tail_start(seq, r2), alternating)  # may raise
+        self.s0, self.r2 = s0, r2
+        heads = range(first, self.sums.a)
+        self.us = [seq.value(n) + r2 for n in heads]
+        # the weight of each direct term: the parity signs, or f on v_f and 1 after it
+        self.signs = ([1.0 if n % 2 else -1.0 for n in heads] if alternating
+                      else [float(first)] + [1.0] * (len(self.us) - 1))
+        self.w, self.log_u = r2 / self.us[0], math.log(self.us[-1])  # 1 <= u_f <= u_n
+        self.entries: list[tuple[float, float, int]] = []  # value, err, zeta terms so far
 
-    tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2),
-                                 sums if alternating else order_tail)
-    value = math.fsum(parts) + tail
-    err += tail_err
-    tol = max(policy.abs_tol, policy.rel_tol * abs(value))
-    return EvalResult(value, err, sums.work + coeffs.work, err <= tol)
+    def integral(self, coeffs: _KernelCoeffs, offset: int, policy: QuadPolicy,
+                 head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
+        # head + the integral over (a_f, inf) of -f' against the weight, f the
+        # expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m), s1 = s0+offset, c_m from
+        # coeffs: sum_m c_m r^(2m) C_(m+offset); work: the entries' zetas and
+        # the coefficients' nodes
+        m_top = _orders(coeffs.alpha, self.w, 1e-16)[0]
+        sums, a = self.sums, self.sums.a
+        while len(self.entries) <= offset + m_top:
+            sig, lo = _plus(self.s0, float(len(self.entries)))
+            terms = [c * u ** -sig for c, u in zip(self.signs, self.us)]
+            direct = math.fsum(terms)
+            size = math.fsum(map(abs, terms)) if sums.alternating else direct
+            # the tail from A is at most u_A^-sig when it alternates, else at
+            # most a_A^-sig (1 + A/(k sig - 1)); once that falls under eps/4 of
+            # the direct sum, it stands in for the zetas
+            k_sig = sums.seq.exponent * sig
+            tail, err = 0.0, (sums.u_a ** -sig if sums.alternating else
+                              sums.seq.value(float(a)) ** -sig * (1.0 + a / (k_sig - 1.0))
+                              if k_sig >= 2.0 else math.inf)
+            if err > 0.25 * _EPS * abs(direct):
+                tail, err, _ = sums(len(self.entries))
+            err += ((2.0 * sig + 3.0) * _EPS + abs(lo) * self.log_u) * size
+            self.entries.append((direct + tail, err + 0.5 * _EPS * abs(direct + tail), sums.work))
+
+        def order_tail(m: int) -> tuple[float, float, float]:
+            c, c_err, _ = self.entries[m + offset]
+            major = self.us[0] ** -(self.s0[0] + (m + offset)) if sums.alternating else c
+            return c, c_err + (3.0 * m + 2.0) * _EPS * abs(c), major
+
+        s1 = _plus(self.s0, float(offset))
+        tail, err = _power_tail(coeffs, self.r2, self.w, order_tail)
+        # 2^(-e s1) rounds once, drops the low part of s1, and its product once
+        scale = math.ldexp(1.0, -self.e) ** s1[0]
+        err += (2.0 * _EPS + abs(s1[1] * self.e)) * abs(tail) if self.e else 0.0
+        value, err = head.value + scale * tail, scale * err + head.err_est
+        work = self.entries[offset + m_top][2] - (self.entries[offset - 1][2] if offset else 0)
+        tol = max(policy.abs_tol, policy.rel_tol * abs(value))
+        return EvalResult(value, err, head.n_work + work + coeffs.work,
+                          err <= tol and head.converged)
+
+
+def _u_coeffs(alpha: float, s1: tuple[float, float]) -> _KernelCoeffs:
+    # a u-integral's coefficients (alpha)_m/m!/sigma_m, sigma_m = s1+m: the
+    # constant kernel 2F1(alpha, 0; 1; z) = 1
+    return _KernelCoeffs(alpha, 0.0, 1.0, PQParams(), DEFAULT_POLICY, "classical", s1)
 
 
 def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternating: bool,
@@ -599,29 +602,30 @@ def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternatin
     Computes the integral over (a_1, inf) of
     F_{p,q}(alpha, b; c; -r^2/x) w(x) / (x^alpha (x+r^2)^beta_) dx with w the
     counting function (non-alternating) or its parity indicator
-    (alternating).  Evaluated as a sum of per-interval integrals whose
-    boundaries are exactly the sequence points, plus an analytic tail.  Each
-    interval integrates the kernel expansion term by term in closed form (no
-    quadrature), at coefficients kappa_m/sigma_m, sigma_m = alpha+beta-1+m;
-    its error bound adds a stated rounding bound, the omitted expansion
-    orders and the coefficient errors.  The first slot moves the kernel
-    parameter and the x power together.
+    (alternating).  The kernel expansion integrates term by term in closed
+    form (no quadrature), at coefficients kappa_m/sigma_m,
+    sigma_m = alpha+beta-1+m, and the weighted orders Abel-sum to one power
+    sum each (_PowerColumn); the error bound adds a stated rounding bound,
+    the omitted expansion orders and the coefficient errors.  The first slot
+    moves the kernel parameter and the x power together.
     """
-    s1 = _plus(_plus((alpha, 0.0), beta_), -1.0)  # alpha+beta-1, exactly
+    s0 = _plus(_plus((alpha, 0.0), beta_), -1.0)  # alpha+beta-1, exactly
+    column = _PowerColumn(params.seq, params.r * params.r, s0, 1, alternating)
     coeffs = _KernelCoeffs(alpha, params.b, params.c, params.pq, _inner_policy(policy),
-                           kernel, s1)
-    return _cahen_engine(coeffs, s1, params.seq, params.r * params.r, alternating, policy)
+                           kernel, s0)
+    return column.integral(coeffs, 0, policy)
 
 
 def _representation(params: MathieuParams, policy: QuadPolicy,
                     alternating: bool) -> EvalResult:
     # lam I(lam+1, eta) + eta I(lam, eta+1) as one integral of -f', f the
-    # summand itself: the expansion at kappa_m(lam) and the exponent pair
-    # lam+eta of the direct route
+    # summand itself: the expansion at kappa_m(lam), read from the column at
+    # the exponent pair lam+eta of the direct route
+    column = _PowerColumn(params.seq, params.r * params.r, _plus((params.lam, 0.0), params.eta),
+                          1, alternating)
     coeffs = _KernelCoeffs(params.lam, params.b, params.c, params.pq, _inner_policy(policy),
                            "extended")
-    return _cahen_engine(coeffs, _plus((params.lam, 0.0), params.eta), params.seq,
-                         params.r * params.r, alternating, policy)
+    return column.integral(coeffs, 0, policy)
 
 
 def mathieu_via_integral(params: MathieuParams,
@@ -636,65 +640,6 @@ def mathieu_alt_via_integral(params: MathieuParams,
                              policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Alternating series through its integral representation (parity weight)."""
     return _representation(params, policy, alternating=True)
-
-
-class _PowerColumn:
-    """C_j = f u_f^-(s0+j) + sum_{n>f} u_n^-(s0+j), u_n = a_n + r^2: the
-    counting-weight panels N >= f of expansion order j, Abel-summed
-    (sum_{N>=f} N (v_N - v_(N+1)) = (f-1) v_f + sum_{N>=f} v_N).  Terms
-    n < A are summed directly, charging (2 sigma + 3) ulps and the low part
-    of sigma = s0+j; _PowerSums at A gives the rest.  C_(j+1) <= C_j/u_f, so
-    orders read it at ratio w = r^2/u_f, at most 1/2 when a_f >= r^2.  The
-    plain sum of m_top orders rounds at most m_top/2 ulps of their size,
-    each product 2 more and each coefficient 3m.  The column is that of
-    a_n 2^-e and r^2 2^-e, scaled exactly so that u_f lies in [1, 2) and no
-    power u_n^-(s0+j) overflows; an integral of the scaled problem is 2^(e s1)
-    times that of the unscaled one, s1 = alpha+beta-1."""
-
-    def __init__(self, seq: SequenceSpec, r2: float, s0: tuple[float, float], first: int):
-        self.e = math.frexp(seq.value(first) + r2)[1] - 1
-        seq, r2 = SequenceSpec(math.ldexp(seq.scale, -self.e), seq.exponent), math.ldexp(r2, -self.e)
-        self.sums = _PowerSums(seq, r2, s0, _series_tail_start(seq, r2), False)  # may raise
-        self.s0, self.first, self.r2 = s0, first, r2
-        self.us = [seq.value(n) + r2 for n in range(first, self.sums.a)]
-        self.w, self.log_u = r2 / self.us[0], math.log(self.us[-1])  # 1 <= u_f <= u_n
-        self.entries: list[tuple[float, float, int]] = []  # value, err, zeta terms so far
-
-    def integral(self, alpha: float, offset: int, policy: QuadPolicy,
-                 head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
-        # head + I(alpha, beta) over (a_f, inf), alpha+beta-1 = s0+offset, as
-        # sum_m kappa_m/sigma_m r^(2m) C_(m+offset); work: the entries' zetas
-        m_top = _orders(alpha, self.w, 1e-16)[0]
-        a, k = self.sums.a, self.sums.seq.exponent
-        while len(self.entries) <= offset + m_top:
-            sig, lo = _plus(self.s0, float(len(self.entries)))
-            terms = [u ** -sig for u in self.us]
-            terms[0] *= self.first
-            direct = math.fsum(terms)
-            # the tail from A is at most a_A^-sig (1 + A/(k sig - 1)); once
-            # that falls under eps/4 of the direct sum, it stands in for the zetas
-            tail, err = 0.0, (self.sums.seq.value(float(a)) ** -sig * (1.0 + a / (k * sig - 1.0))
-                              if k * sig >= 2.0 else math.inf)
-            if err > 0.25 * _EPS * direct:
-                tail, err, _ = self.sums(len(self.entries))
-            err += ((2.0 * sig + 3.0) * _EPS + abs(lo) * self.log_u) * direct
-            self.entries.append((direct + tail, err + 0.5 * _EPS * (direct + tail),
-                                 self.sums.work))
-
-        def order_tail(m: int) -> tuple[float, float, float]:
-            c, c_err, _ = self.entries[m + offset]
-            return c, c_err + (0.5 * m_top + 3.0 * m + 2.0) * _EPS * c, c
-
-        s1 = _plus(self.s0, float(offset))
-        coeffs = _KernelCoeffs(alpha, 0.0, 1.0, PQParams(), policy, "classical", s1)
-        tail, err = _power_tail(coeffs, self.r2, self.w, order_tail)
-        # 2^(-e s1) rounds once, drops the low part of s1, and its product once
-        scale = math.ldexp(1.0, -self.e) ** s1[0]
-        err += (2.0 * _EPS + abs(s1[1] * self.e)) * abs(tail) if self.e else 0.0
-        value, err = head.value + scale * tail, scale * err + head.err_est
-        work = self.entries[offset + m_top][2] - (self.entries[offset - 1][2] if offset else 0)
-        tol = max(policy.abs_tol, policy.rel_tol * abs(value))
-        return EvalResult(value, err, head.n_work + work, err <= tol and head.converged)
 
 
 def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
@@ -720,8 +665,8 @@ def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
     head = EvalResult(math.fsum(n * q.value for n, q in enumerate(near, 1)),
                       math.fsum(n * q.err_est for n, q in enumerate(near, 1)),
                       sum(q.n_work for q in near), all(q.converged for q in near))
-    column = _PowerColumn(seq, r2, _plus(_plus((lam, 0.0), eta), -1.0), len(near) + 1)
-    return column.integral(lam, 0, policy, head)
+    s0 = _plus(_plus((lam, 0.0), eta), -1.0)
+    return _PowerColumn(seq, r2, s0, len(near) + 1).integral(_u_coeffs(lam, s0), 0, policy, head)
 
 
 def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
@@ -787,10 +732,11 @@ def bound_mathieu_rhs(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY
     _check_bound_window(params)
     # u_integral at (lam+1, eta), (lam, eta), (lam, eta+1), (lam-1, eta+1): one
     # column at s0 = lam+eta-1 exactly, read at offsets 1, 0, 1, 0 (from N = 1)
-    lam, eta = params.lam, params.eta
-    column = _PowerColumn(params.seq, params.r * params.r, _plus(_plus((lam, 0.0), eta), -1.0), 1)
-    return _luke_bound(params, [column.integral(alpha, offset, policy) for alpha, offset
-                                in ((lam + 1.0, 1), (lam, 0), (lam, 1), (lam - 1.0, 0))], policy)
+    lam, s0 = params.lam, _plus(_plus((params.lam, 0.0), params.eta), -1.0)
+    column = _PowerColumn(params.seq, params.r * params.r, s0, 1)
+    return _luke_bound(params, [column.integral(_u_coeffs(alpha, _plus(s0, offset)), offset, policy)
+                                for alpha, offset in ((lam + 1.0, 1), (lam, 0), (lam, 1),
+                                                      (lam - 1.0, 0))], policy)
 
 
 def bound_mathieu_alt_rhs(params: MathieuParams,

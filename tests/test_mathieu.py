@@ -12,8 +12,8 @@ import pqmathieu.mathieu as mathieu
 from pqmathieu.classical import gauss_2f1_raw
 from pqmathieu.errors import DivergenceError, DomainError
 from pqmathieu.extended import PQParams, extended_gauss_integral
-from pqmathieu.mathieu import (MathieuParams, SequenceSpec, _hurwitz_zeta, _KernelCoeffs, _orders,
-                               _panel, _plus, alternating_counting_value, bound_mathieu_alt_rhs,
+from pqmathieu.mathieu import (MathieuParams, SequenceSpec, _hurwitz_zeta, _orders, _plus,
+                               alternating_counting_value, bound_mathieu_alt_rhs,
                                bound_mathieu_rhs, cahen_integral, closed_tail_2f1,
                                counting_value, mathieu_alt_via_integral,
                                mathieu_alternating_direct, mathieu_direct,
@@ -179,6 +179,29 @@ def test_identity_addend_order_invariance():
         assert first == swapped  # float addition is commutative
         merged = route(params)
         assert abs(first - merged.value) <= lam * i1.err_est + eta * i2.err_est + merged.err_est
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((1.0, 1.5, 2.0)), st.floats(0.3, 2.0), st.floats(1.2, 3.5),
+       st.floats(0.3, 1.5), st.floats(0.3, 1.5), st.floats(0.1, 1.0), st.floats(0.0, 2.0),
+       st.floats(0.0, 2.0), st.booleans())
+@example(1.0, 1.5, 2.7, 1.0, 1.0, 1.0, 0.5, 0.5, False)  # r^2 = a_1: the column at w = 1/2
+@example(1.0, 1.5, 2.7, 1.0, 1.0, 1.0, 0.5, 0.5, True)
+@example(2.0, 1.2, 3.4, 0.6, 1.4, 1.0, 1.8, 0.2, True)
+@example(1.5, 0.4, 1.3, 1.2, 0.5, 1.0, 0.0, 2.0, False)
+def test_integral_routes_agree_with_direct(k, lam, s, b, cb, r2, p, q, alternating):
+    # points drawn as the benchmark's regular Mathieu evaluations: k(lam+eta) = s,
+    # c = b + cb, a_n = n^k; each integral route (one power-sum column, signed
+    # under the parity weight) must agree with its direct route (Euler-integral
+    # head, Hurwitz tail) within their summed error
+    eta = s / k - lam
+    assume(eta > 0.05)
+    params = MathieuParams(lam, eta, math.sqrt(r2), b, b + cb, PQParams(p, q),
+                           SequenceSpec.power(1.0, k))
+    routes = ((mathieu_alternating_direct, mathieu_alt_via_integral) if alternating
+              else (mathieu_direct, mathieu_via_integral))
+    direct, integral = (route(params) for route in routes)
+    assert abs(direct.value - integral.value) <= direct.err_est + integral.err_est
 
 
 def test_cahen_count_oracle():
@@ -442,49 +465,6 @@ def test_power_tail_needs_exact_k_sigma_above_one():
     seq = SequenceSpec.power(1.0, 0.75)
     with pytest.raises(DivergenceError):
         u_integral(seq, 2.0, 1.0 / 3.0, 0.5)
-
-
-def _u_panel(alpha, s0, r2, lo, hi):
-    # the u_integral expansion (b = 0) over one panel, with its 40-digit
-    # Gauss-Legendre reference
-    s1 = _plus((s0, 0.0), -1.0)
-    coeffs = _KernelCoeffs(alpha, 0.0, 1.0, PQ0, DEFAULT_POLICY, "classical", s1)
-    value, err = _panel(coeffs, s1, r2, lo, hi)
-    with mp.workdps(40):
-        ref = float(mp.quad(lambda x: x ** -alpha * (x + r2) ** (alpha - s0), [lo, hi],
-                            method="gauss-legendre"))
-    return value, err, ref, coeffs
-
-
-@pytest.mark.parametrize("alpha", [-0.5, 2.0])
-def test_thin_panel_closed_form(alpha):
-    # panel [1e4, 1e4+1] of x^-alpha (x+1)^-2.5 with a_n = n and r^2 = a_1:
-    # each order's difference of powers cancels four digits
-    s0, r2, lo, hi = alpha + 2.5, 1.0, 1e4, 1e4 + 1.0
-    # ((lo+r^2)^(1-s) - (hi+r^2)^(1-s)) / (s-1) would lose those digits
-    # (1e-13 relative and worse); the expm1/log1p form keeps them
-    value, err, ref, _ = _u_panel(alpha, s0, r2, lo, hi)
-    assert abs(value - ref) <= err <= 2e-14 * ref
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(-0.99, 3.0), st.floats(2.0, 6.0), st.floats(0.05, 1.0),
-       st.sampled_from((1, 2, 5, 30, 300, 10000)), st.sampled_from((1.0, 2.0)))
-def test_panel_error_covers_gauss_legendre(alpha, s0, r2, n, k):
-    # the stated rounding bound is what covers most of these panels: the
-    # truncation and coefficient terms alone fall short on about 3 in 4
-    value, err, ref, _ = _u_panel(alpha, s0, r2, n ** k, (n + 1) ** k)
-    assert abs(value - ref) <= err
-
-
-@pytest.mark.parametrize("alpha", [-0.5, 3.0])
-@pytest.mark.parametrize("r2", [9.0, 30.0])
-def test_panel_error_covers_omitted_orders(alpha, r2):
-    # a panel [1, 2] at expansion ratio 0.9 or more, where the 140 orders
-    # kept leave the omitted ones as the largest error; kappa_140 < 0 at
-    # alpha = -0.5 (u_integral integrates such panels by quadrature instead)
-    value, err, ref, _ = _u_panel(alpha, 3.0, r2, 1.0, 2.0)
-    assert abs(value - ref) <= err
 
 
 @pytest.mark.parametrize("alpha,beta,r2", [(2.0, 2.0, 9.0), (-0.5, 3.5, 30.0), (3.0, 0.5, 2.5)])
