@@ -422,11 +422,13 @@ def _orders(alpha: float, w: float, target: float) -> tuple[int, float]:
 
 
 def _power_tail(coeffs: _KernelCoeffs, r2: float, w: float,
-                order_tail: Callable[[int], tuple[float, float, float]]) -> tuple[float, float]:
-    # sum_m kappa_m r^(2m) T_m over the orders kept at ratio w (at least
-    # r^2/(a_n+r^2) on every power that T_m sums); order_tail(m) gives T_m,
-    # its error bound and an M_m such that the omitted orders j >= m_top add
-    # at most |kappa_m_top| r^(2 m_top) M_m_top / (1-q), q as in _orders
+                order_tail: Callable[[int], tuple[float, float, float]]
+                ) -> tuple[float, float, int]:
+    # sum_m kappa_m r^(2m) T_m over the orders m <= m_top kept at ratio w (at
+    # least r^2/(a_n+r^2) on every power that T_m sums), its error bound and
+    # m_top; order_tail(m) gives T_m, its error bound and an M_m such that
+    # the omitted orders j >= m_top add at most
+    # |kappa_m_top| r^(2 m_top) M_m_top / (1-q), q as in _orders
     m_top, omit = _orders(coeffs.alpha, w, 1e-16)
     coeffs.grow(m_top + 1)
     terms = []
@@ -442,7 +444,7 @@ def _power_tail(coeffs: _KernelCoeffs, r2: float, w: float,
             err += omit * abs(weight) * major
     # the orders' sum rounds once, at half an ulp of the total
     tail = math.fsum(terms)
-    return tail, err + 0.5 * _EPS * abs(tail)
+    return tail, err + 0.5 * _EPS * abs(tail), m_top
 
 
 def _inner_policy(policy: QuadPolicy) -> QuadPolicy:
@@ -479,7 +481,7 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
         terms.append(sign * fres.value * w)
         err += fres.err_est * w
     coeffs = _KernelCoeffs(lam, params.b, params.c, params.pq, inner, kind)
-    tail, tail_err = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), sums)
+    tail, tail_err, _ = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), sums)
     value = math.fsum(terms) + tail
     err += tail_err
     tol = max(policy.abs_tol, policy.rel_tol * abs(value))
@@ -547,15 +549,10 @@ class _PowerColumn:
         self.w, self.log_u = r2 / self.us[0], math.log(self.us[-1])  # 1 <= u_f <= u_n
         self.entries: list[tuple[float, float, int]] = []  # value, err, zeta terms so far
 
-    def integral(self, coeffs: _KernelCoeffs, offset: int, policy: QuadPolicy,
-                 head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
-        # head + the integral over (a_f, inf) of -f' against the weight, f the
-        # expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m), s1 = s0+offset, c_m from
-        # coeffs: sum_m c_m r^(2m) C_(m+offset); work: the entries' zetas and
-        # the coefficients' nodes
-        m_top = _orders(coeffs.alpha, self.w, 1e-16)[0]
+    def _entry(self, j: int) -> tuple[float, float, int]:
+        # C_j, its error bound, and the zeta terms of entries 0..j
         sums, a = self.sums, self.sums.a
-        while len(self.entries) <= offset + m_top:
+        while len(self.entries) <= j:
             sig, lo = _plus(self.s0, float(len(self.entries)))
             terms = [c * u ** -sig for c, u in zip(self.signs, self.us)]
             direct = math.fsum(terms)
@@ -571,14 +568,21 @@ class _PowerColumn:
                 tail, err, _ = sums(len(self.entries))
             err += ((2.0 * sig + 3.0) * _EPS + abs(lo) * self.log_u) * size
             self.entries.append((direct + tail, err + 0.5 * _EPS * abs(direct + tail), sums.work))
+        return self.entries[j]
 
+    def integral(self, coeffs: _KernelCoeffs, offset: int, policy: QuadPolicy,
+                 head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
+        # head + the integral over (a_f, inf) of -f' against the weight, f the
+        # expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m), s1 = s0+offset, c_m from
+        # coeffs: sum_m c_m r^(2m) C_(m+offset); work: the entries' zetas and
+        # the coefficients' nodes
         def order_tail(m: int) -> tuple[float, float, float]:
-            c, c_err, _ = self.entries[m + offset]
-            major = self.us[0] ** -(self.s0[0] + (m + offset)) if sums.alternating else c
+            c, c_err, _ = self._entry(m + offset)
+            major = self.us[0] ** -(self.s0[0] + (m + offset)) if self.sums.alternating else c
             return c, c_err + (3.0 * m + 2.0) * _EPS * abs(c), major
 
         s1 = _plus(self.s0, float(offset))
-        tail, err = _power_tail(coeffs, self.r2, self.w, order_tail)
+        tail, err, m_top = _power_tail(coeffs, self.r2, self.w, order_tail)
         # 2^(-e s1) rounds once, drops the low part of s1, and its product once
         scale = math.ldexp(1.0, -self.e) ** s1[0]
         err += (2.0 * _EPS + abs(s1[1] * self.e)) * abs(tail) if self.e else 0.0
