@@ -4,8 +4,12 @@ The extension weights the Euler integrals with exp(-p/t - q/(1-t)), p, q >= 0.
 Two independent evaluation paths exist for the extended Gauss function: the
 single Euler-type integral (primary, one quadrature call) and the series whose
 coefficients are extended Beta values; the series path is the verification
-oracle.  Kernel values F_{p,q}(a, b; c; -x) at many x in [0, 1] share one
-node fan (extended_gauss_fan).  Coefficient tables B(x0+j, y; p, q),
+oracle.  At z < 0 both series are summed in reflected form (t -> 1-t in the
+Euler integral), over B(c-b+n, b; q, p) with positive terms: the Gauss
+series in Pfaff form at ratio z/(z-1) < 1/2, the Kummer series at ratio -z;
+_scaled applies their factor (1-z)^(-a) or e^z.  Kernel values
+F_{p,q}(a, b; c; -x) at many x in [0, 1] share one node fan
+(extended_gauss_fan).  Coefficient tables B(x0+j, y; p, q),
 j = 0 .. n-1, come from one shared tanh-sinh node set per table
 (extended_beta_table); the series grow theirs in blocks of 32 entries as
 they advance.  The Mathieu routes' kernel expansions read the column
@@ -128,6 +132,8 @@ def extended_beta_table(x0: float, y: float, pq: PQParams, n: int,
     return integrate_log_moments(_beta_log_weight(x0, y, pq), 0.0, 1.0, n, policy)
 
 
+_EPS = math.ulp(1.0)
+
 # entries per node set when a coefficient table grows with its series
 _BLOCK = 32
 
@@ -234,9 +240,10 @@ def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
     majorant(n, term) bounds the terms after term n, or is None while no
     bound is known.  The sum stops after two settled terms in a row and is
     converged when the sum is finite, the tail plus the accumulated
-    coefficient errors meet rel_tol * |sum| and every coefficient used
-    converged.  An overflowed sum makes that tolerance inf, which every
-    error meets, so it stops, unconverged.
+    coefficient errors and rounding (ratio(n) may round 4 times) meet
+    rel_tol * |sum| and every coefficient used converged.  An overflowed sum
+    makes that tolerance inf, which every error meets, so it stops,
+    unconverged.
     """
     rel_tol = coefs.policy.rel_tol
     total = 0.0
@@ -248,7 +255,9 @@ def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
         coefs.grow(n + 1)
         term = pre * coefs.values[n] / norm
         total += term
-        err_acc += abs(pre) / norm * coefs.errs[n]
+        # pre_n carries 4 roundings per ratio, the term two more, the sum one
+        err_acc += abs(pre) / norm * coefs.errs[n] \
+            + 0.5 * _EPS * ((4.0 * n + 2.0) * abs(term) + abs(total))
         bound = majorant(n, term)
         if bound is not None:
             tail = bound
@@ -267,39 +276,88 @@ def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
     return EvalResult(total, tail + err_acc, coefs.work(n_cap), False)
 
 
+def _scaled(res: EvalResult, log_scale: float, log_err: float, rel_tol: float,
+            what: str) -> EvalResult:
+    """res times e^log_scale: a series summed in reflected form, taken back.
+
+    log_err bounds the absolute error of log_scale.  While e^log_scale is a
+    normal double it multiplies the value, which adds two ulps; below that
+    the value is exp(log_scale + log value), which adds the ulps of the log
+    and of the exponent, and a subnormal result its spacing.  The record
+    stays converged when the series did and the charged error still meets
+    rel_tol.  A reflected sum of 0, or a product that underflows, raises
+    DomainError (no relative bound holds); an overflowed sum stays
+    unconverged.
+    """
+    v = res.value
+    if v == 0.0:
+        raise DomainError(f"{what}: reflected series is 0")
+    if not math.isfinite(v):
+        return EvalResult(v, math.inf, res.n_work, False)
+    if log_scale > -700.0:
+        value = math.exp(log_scale) * v
+        rel = log_err + 2.0 * _EPS
+    else:
+        log_value = log_scale + math.log(abs(v))
+        value = math.copysign(math.exp(log_value), v)
+        rel = log_err + (abs(log_value - log_scale) + abs(log_value) + 1.0) * _EPS
+    if value == 0.0:
+        raise DomainError(f"{what}: log value {log_scale + math.log(abs(v)):.1f}")
+    # a subnormal product is only as exact as the spacing there
+    err = max(abs(value) * (res.err_est / abs(v) + rel), math.ulp(value))
+    return EvalResult(value, err, res.n_work, res.converged and err <= rel_tol * abs(value))
+
+
 def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
                           policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Extended Gauss function by its defining series (the verification path).
 
-    The coefficients B(b+n, c-b; p, q) come from shared-node tables grown in
-    blocks of 32 entries; the truncation tail is majorized by the envelope
-    factor times the classical 2F1 tail at |z|, which bounds the extended
-    coefficients term by term.  Converged means the tail plus the
-    accumulated coefficient errors meet the tolerance and every coefficient
-    used converged.  The series stops, unconverged, at a term cap derived
-    from z and rel_tol: enough terms for |z|^n to fall below
-    max(rel_tol/100, 1e-15), and 40 to 1000 of them.
+    For z >= 0 the coefficients are B(b+n, c-b; p, q) at ratio z.  For z < 0
+    the series is summed in Pfaff form, F_{p,q}(a, b; c; z) =
+    (1-z)^(-a) F_{q,p}(a, c-b; c; z/(z-1)) (substitute t -> 1-t in the Euler
+    integral): its coefficients are B(c-b+n, b; q, p) at ratio
+    w = z/(z-1) < 1/2, its terms are positive for a > 0 instead of
+    alternating, and the factor's rounding is charged.  The coefficients
+    come from shared-node tables grown in blocks of 32 entries; the
+    truncation tail is majorized by the envelope factor times the classical
+    2F1 tail at the ratio, which bounds the extended coefficients term by
+    term.  Converged means the tail plus the accumulated coefficient errors
+    and rounding meet the tolerance and every coefficient used converged.
+    The series stops, unconverged, at a term cap derived from the ratio and
+    rel_tol: enough terms for ratio^n to fall below max(rel_tol/100, 1e-15),
+    and 40 to 1000 of them.
     """
     if not abs(z) < 1.0:
         raise DomainError(f"extended_gauss_series requires |z| < 1, got z={z}")
     a, b, c = triple.a, triple.b, triple.c
+    if z >= 0.0:
+        x, x0, y, pq_eff = z, b, c - b, pq
+    else:
+        x, x0, y, pq_eff = z / (z - 1.0), c - b, b, pq.swapped()
     norm = beta(b, c - b)
     n_cap = 4
-    if abs(z) > 0.0:
-        n_cap = int(math.log(max(policy.rel_tol * 1e-2, 1e-15)) / math.log(abs(z))) + 24
+    if x > 0.0:
+        n_cap = int(math.log(max(policy.rel_tol * 1e-2, 1e-15)) / math.log(x)) + 24
     n_cap = min(max(n_cap, 40), 1000)
-    major = pq.envelope  # envelope * (a)_n (b)_n / ((c)_n n!) |z|^n
+    major = pq.envelope  # envelope * (a)_n (x0)_n / ((c)_n n!) x^n
 
     def majorant(n: int, term: float) -> float | None:
         # classical majorant of the terms after n
         nonlocal major
-        ratio_next = abs(z) * (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        ratio_next = x * (a + n) * (x0 + n) / ((c + n) * (n + 1.0))
         major *= ratio_next
-        rho = max(abs(z), ratio_next)
+        rho = max(x, ratio_next)
         return major / (1.0 - rho) if rho < 1.0 else None
 
-    return _beta_series(_BetaColumn(b, c - b, pq, policy), norm,
-                        lambda n: (a + n) * z / (n + 1.0), majorant, n_cap)
+    res = _beta_series(_BetaColumn(x0, y, pq_eff, policy), norm,
+                       lambda n: (a + n) * x / (n + 1.0), majorant, n_cap)
+    if z >= 0.0:
+        return res
+    # log1p and the product round log_scale by 1.5 ulps of it; the ulp of w
+    # moves log F by at most a w / (1 - w) = a |z| ulps (for a > 0)
+    log_scale = -a * math.log1p(-z)
+    return _scaled(res, log_scale, (1.5 * abs(log_scale) + abs(a * z)) * _EPS, policy.rel_tol,
+                   f"extended_gauss_series underflows at z={z!r}")
 
 
 def kummer_coefficient_table(b: float, c: float, pq: PQParams, n_terms: int,
@@ -340,14 +398,15 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
     For z < 0 the series is summed through the extended Kummer transformation
     Phi_{p,q}(b;c;z) = e^z Phi_{q,p}(c-b;c;-z) (substitute t -> 1-t in the
     Euler integral), which makes every term positive; the raw alternating
-    series loses all precision already for moderately negative z.
+    series loses all precision already for moderately negative z.  The
+    rounding of the factor e^z is charged (see _scaled).
     """
     if not (c > b > 0.0):
         raise DomainError(f"extended_kummer requires c > b > 0, got b={b}, c={c}")
     if z >= 0.0:
-        w, bb, pq_eff = z, b, pq
+        w, x0, y, pq_eff = z, b, c - b, pq
     else:
-        w, bb, pq_eff = -z, c - b, pq.swapped()
+        w, x0, y, pq_eff = -z, c - b, b, pq.swapped()
     norm = beta(b, c - b)
 
     def majorant(n: int, term: float) -> float | None:
@@ -355,19 +414,11 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
         return abs(term) * rho / (1.0 - rho) if rho < 1.0 else None
 
     n_cap = int(w + 10.0 * math.sqrt(w + 1.0)) + 60
-    res = _beta_series(_BetaColumn(bb, c - bb, pq_eff, policy), norm,
+    res = _beta_series(_BetaColumn(x0, y, pq_eff, policy), norm,
                        lambda n: w / (n + 1.0), majorant, n_cap)
     if z >= 0.0:
         return res
-    if w < 100.0:
-        scale = math.exp(z)
-        value = scale * res.value
-    else:
-        if res.value == 0.0:
-            raise DomainError(f"extended_kummer underflows at z={z!r}: reflected series is 0")
-        value = math.exp(z + math.log(res.value))
-        scale = value / res.value
-    return EvalResult(value, scale * res.err_est, res.n_work, res.converged)
+    return _scaled(res, z, 0.0, policy.rel_tol, f"extended_kummer underflows at z={z!r}")
 
 
 def gauss_bound_rhs(triple: HyperTriple, z: float, pq: PQParams,

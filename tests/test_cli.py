@@ -93,6 +93,29 @@ def test_underflowed_kummer_reflection_exits_1_with_one_line(capsys):
     assert err == "domain error: extended_kummer underflows at z=-200.0: reflected series is 0\n"
 
 
+@pytest.mark.parametrize("a, b, c, z, p, q", [
+    (1.1579250980374536, 1.7829333257602047, 2.610814453421793, -0.8118594307696968,
+     1.6552455042755627, 0.06594786953119675),
+    (2.054404421733095, 1.1954727965258896, 1.5248099488646887, -0.866552626991257,
+     0.36835109809687067, 0.995971272614102),
+    (2.2022554270109143, 0.7369225805510137, 1.1222379002101106, -0.8692759547302548,
+     0.8029852983612911, 1.497978383245688),
+    (2.479317190542718, 0.6946424363385013, 1.0276882822043607, -0.8857315467261759,
+     0.37388273036895886, 1.5010095281691531),
+    (2.4575723574150508, 1.2449150104913085, 1.9351872677363404, -0.8836038741911353,
+     0.16369379188504618, 1.5008020565962712),
+])
+def test_gauss_series_converges_at_cancelling_negative_arguments(capsys, a, b, c, z, p, q):
+    # the raw series at these z cancelled and stopped above its tolerance
+    # (exit 2); its Pfaff form at z/(z-1) has positive terms
+    from pqmathieu.cli import main
+    argv = ["eval", "--target", "gauss", "--method", "both"]
+    for name, val in zip("abczpq", (a, b, c, z, p, q)):
+        argv += [f"--{name}", repr(val)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("converged=true") == 2
+
+
 def test_integrand_overflow_exits_1_with_one_line(capsys):
     from pqmathieu.cli import main
     for argv in (["eval", "--target", "gauss", "--a", "500", "--b", "1", "--c", "2",

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -258,11 +259,57 @@ def test_thread_safety_determinism():
 
 
 def test_series_default_cap_reports_unconverged():
-    # near |z| = 1 the tail majorant decays too slowly for the term cap
+    # near z = 1 the tail majorant decays too slowly for the term cap
     # derived from z and rel_tol, so the series stops short of the tolerance
     trip = HyperTriple(1.0, 1.0, 2.0)
-    res = extended_gauss_series(trip, -0.999, PQParams(0.1, 0.1))
+    res = extended_gauss_series(trip, 0.999, PQParams(0.1, 0.1))
     assert not res.converged
+
+
+def test_series_near_minus_one_converges_in_pfaff_form():
+    # at z = -0.999 the Pfaff-form ratio z/(z-1) is just below 1/2
+    trip, pq = HyperTriple(1.0, 1.0, 2.0), PQParams(0.1, 0.1)
+    series = extended_gauss_series(trip, -0.999, pq)
+    integral = extended_gauss_integral(trip, -0.999, pq)
+    assert series.converged and integral.converged
+    assert abs(series.value - integral.value) <= series.err_est + integral.err_est
+
+
+_PFAFF_ARGS = (st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+               st.floats(0.1, 3.0, exclude_min=True, exclude_max=True),
+               st.floats(0.2, 2.0, exclude_min=True, exclude_max=True),
+               st.floats(0.2, 2.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_PFAFF_ARGS, st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+def test_pfaff_series_matches_integral(z, a, b, cb, p, q):
+    trip, pq = HyperTriple(a, b, b + cb), PQParams(p, q)
+    series = extended_gauss_series(trip, z, pq)
+    integral = extended_gauss_integral(trip, z, pq)
+    if series.converged and integral.converged:
+        assert abs(series.value - integral.value) <= series.err_est + integral.err_est
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_PFAFF_ARGS)
+def test_pfaff_series_error_covers_mpmath(z, a, b, cb):
+    series = extended_gauss_series(HyperTriple(a, b, b + cb), z, PQParams())
+    assert series.converged
+    with mp.workdps(40):
+        assert abs(mp.mpf(series.value) - mp.hyp2f1(a, b, b + cb, z)) <= series.err_est
+
+
+def test_kummer_reflection_error_covers_mpmath():
+    # below z ~ -100 the reflection factor e^z used to go through
+    # exp(z + log value), whose ~|z| ulps of rounding nothing charged
+    rng = random.Random(28)
+    with mp.workdps(40):
+        for _ in range(200):
+            b, cb, z = rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.0), rng.uniform(-500.0, -20.0)
+            res = extended_kummer(b, b + cb, z, PQParams())
+            assert res.converged, (b, cb, z)
+            assert abs(mp.mpf(res.value) - mp.hyp1f1(b, b + cb, z)) <= res.err_est, (b, cb, z)
 
 
 def test_series_convergence_is_honest():
@@ -308,6 +355,16 @@ def test_extended_kummer_reflected_underflow_is_domain_error():
     # e^-2800 and underflows to 0, whose log the reflection cannot take
     with pytest.raises(DomainError, match=r"underflows at z=-200\.0"):
         extended_kummer(1.0, 2.0, -200.0, PQParams(700.0, 700.0))
+
+
+def test_reflected_series_of_zero_is_domain_error():
+    # the envelope e^-2800 zeroes every reflected term; at z = -50 the
+    # Kummer factor e^z no longer hides that behind a value of 0
+    pq = PQParams(700.0, 700.0)
+    with pytest.raises(DomainError, match=r"extended_gauss_series underflows at z=-0\.5"):
+        extended_gauss_series(HyperTriple(1.0, 1.0, 2.0), -0.5, pq)
+    with pytest.raises(DomainError, match=r"extended_kummer underflows at z=-50\.0"):
+        extended_kummer(1.0, 2.0, -50.0, pq)
 
 
 def test_kummer_table_matches_direct_evaluation():

@@ -28,7 +28,7 @@ KERNEL = (HyperTriple(1.0, 1.0, 2.0), -R * R / SEQ.a1, PQ)
 PROBES = {
     "extended_beta": (lambda: extended_beta(1.0, 1.0, PQ), 107),
     "extended_gauss_integral": (lambda: extended_gauss_integral(*KERNEL), 107),
-    "extended_gauss_series": (lambda: extended_gauss_series(*KERNEL), 323),
+    "extended_gauss_series": (lambda: extended_gauss_series(*KERNEL), 185),
     "extended_kummer": (lambda: extended_kummer(1.0, 2.0, -8.0, PQ), 323),
     "mathieu_direct": (lambda: mathieu_direct(SERIES), 292),
     "mathieu_via_integral": (lambda: mathieu_via_integral(SERIES), 323),
