@@ -10,17 +10,16 @@ concurrently.
 from .classical import (HyperTriple, beta, gauss_2f1, gauss_2f1_raw, kummer_1f1,
                         log_gamma, luke_bound_rhs, pochhammer)
 from .errors import DivergenceError, DomainError, IntegrandError
-from .extended import (PQParams, envelope_factor, extended_beta, extended_beta_table,
-                       extended_gauss_fan, extended_gauss_integral, extended_gauss_series,
-                       extended_kummer, gauss_bound_rhs, kummer_coefficient_table,
-                       kummer_series_value)
+from .extended import (PQParams, extended_beta, extended_beta_table, extended_gauss_fan,
+                       extended_gauss_integral, extended_gauss_series, extended_kummer,
+                       gauss_bound_rhs, kummer_coefficient_table, kummer_series_value)
 from .mathieu import (MathieuParams, SequenceSpec, alternating_counting_value,
                       bound_mathieu_alt_rhs, bound_mathieu_rhs, cahen_integral,
                       closed_tail_2f1, counting_value, mathieu_alt_via_integral,
                       mathieu_alternating_direct, mathieu_direct, mathieu_via_integral,
                       u_integral)
-from .quadrature import (DEFAULT_POLICY, QuadPolicy, integrate_finite, integrate_finite_xc,
-                         integrate_log_kernels, integrate_log_moments, integrate_to_infinity)
+from .quadrature import (DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_log_kernels,
+                         integrate_log_moments, integrate_to_infinity)
 from .results import EvalResult
 
 __version__ = "0.1.0"
@@ -43,7 +42,6 @@ __all__ = [
     "cahen_integral",
     "closed_tail_2f1",
     "counting_value",
-    "envelope_factor",
     "extended_beta",
     "extended_beta_table",
     "extended_gauss_fan",
@@ -53,7 +51,6 @@ __all__ = [
     "gauss_2f1",
     "gauss_2f1_raw",
     "gauss_bound_rhs",
-    "integrate_finite",
     "integrate_finite_xc",
     "integrate_log_kernels",
     "integrate_log_moments",

@@ -41,7 +41,6 @@ from .results import EvalResult
 
 __all__ = [
     "PQParams",
-    "envelope_factor",
     "extended_beta",
     "extended_beta_table",
     "extended_gauss_fan",
@@ -74,11 +73,6 @@ class PQParams:
         return PQParams(self.q, self.p)
 
 
-def envelope_factor(pq: PQParams) -> float:
-    """Envelope factor multiplying classical functions to majorize extensions."""
-    return pq.envelope
-
-
 def _beta_log_weight(x: float, y: float, pq: PQParams, a: float = 0.0, z: float = 0.0):
     # log of t^(x-1) (1-t)^(y-1) (1-zt)^(-a) e^(-p/t - q/(1-t))
     p, q = pq.p, pq.q
@@ -108,7 +102,7 @@ def extended_beta(x: float, y: float, pq: PQParams,
     required).  With damping present the respective argument may be any real.
     """
     _check_beta_args(x, y, pq)
-    return integrate_finite_xc(_beta_log_weight(x, y, pq), 0.0, 1.0, policy, log_space=True)
+    return integrate_finite_xc(_beta_log_weight(x, y, pq), 0.0, 1.0, policy)
 
 
 def _check_beta_args(x: float, y: float, pq: PQParams) -> None:
@@ -208,8 +202,7 @@ def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
     if not z < 1.0:
         raise DomainError(f"extended_gauss_integral requires z < 1, got z={z}")
     a, b, c = triple.a, triple.b, triple.c
-    res = integrate_finite_xc(_beta_log_weight(b, c - b, pq, a, z), 0.0, 1.0, policy,
-                              log_space=True)
+    res = integrate_finite_xc(_beta_log_weight(b, c - b, pq, a, z), 0.0, 1.0, policy)
     norm = beta(b, c - b)
     return EvalResult(res.value / norm, res.err_est / norm, res.n_work, res.converged)
 
@@ -422,6 +415,14 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
 
 
 def gauss_bound_rhs(triple: HyperTriple, z: float, pq: PQParams,
-                    policy: QuadPolicy = DEFAULT_POLICY) -> float:
-    """Envelope upper bound for |F_{p,q}(a,b;c;z)|: envelope * 2F1(a,b;c;|z|)."""
-    return pq.envelope * gauss_2f1(triple, abs(z), policy).value
+                    policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
+    """Envelope upper bound for |F_{p,q}(a,b;c;z)|: envelope * 2F1(a,b;c;|z|).
+
+    Carries the 2F1's error and the rounding of the envelope exp(-X),
+    X = (sqrt(p) + sqrt(q))**2, and of the product: 4X + 2 ulps.
+    """
+    f = gauss_2f1(triple, abs(z), policy)
+    env = pq.envelope
+    rnd = (4.0 * (math.sqrt(pq.p) + math.sqrt(pq.q)) ** 2 + 2.0) * _EPS
+    return EvalResult(env * f.value, env * (f.err_est + rnd * abs(f.value)), f.n_work,
+                      f.converged)

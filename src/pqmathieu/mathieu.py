@@ -658,13 +658,13 @@ def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
 
     r^2 > a_1 is accepted: the panels left of r^2 have ratio w above 1/2,
     where the expansion converges too slowly, so they are integrated by
-    quadrature of x^-lam (x+r^2)^-eta itself.
+    quadrature of x^-lam (x+r^2)^-eta itself, in log form.
     """
     if not (r > 0.0):
         raise DomainError("u_integral requires r > 0")
     r2, inner = r * r, _inner_policy(policy)
-    power = lambda x, dl, dh: math.exp(-lam * math.log(x)) * (x + r2) ** (-eta)
-    near = [integrate_finite_xc(power, seq.value(n), seq.value(n + 1), inner)  # a_n < r^2
+    log_power = lambda x, dl, dh: -lam * math.log(x) - eta * math.log(x + r2)
+    near = [integrate_finite_xc(log_power, seq.value(n), seq.value(n + 1), inner)  # a_n < r^2
             for n in range(1, counting_value(seq, math.nextafter(r2, 0.0)) + 1)]
     head = EvalResult(math.fsum(n * q.value for n, q in enumerate(near, 1)),
                       math.fsum(n * q.err_est for n, q in enumerate(near, 1)),
@@ -674,11 +674,13 @@ def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
 
 
 def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
-                    policy: QuadPolicy = DEFAULT_POLICY) -> float:
+                    policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Closed form of the integral over (a1, inf) of x^-lam (x+r^2)^-eta dx.
 
     Equals 2F1(eta, lam+eta-1; lam+eta; -r^2/a1) / ((lam+eta-1) a1^(lam+eta-1))
-    for lam+eta > 1 and r^2 < a1 (GR 3.194.1 after x -> 1/t).
+    for lam+eta > 1 and r^2 < a1 (GR 3.194.1 after x -> 1/t).  Carries the
+    2F1's error and the rounding of the factor, |e log a1| + 4 ulps with
+    e = lam+eta-1.
     """
     # lam+eta as an exact pair: 1 + 2^-53 converges although it rounds to 1
     hi, lo = _plus((lam, 0.0), eta)
@@ -690,7 +692,11 @@ def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
     if not r * r < a1:
         raise DomainError(f"closed_tail_2f1 requires r^2 < a1, got r^2={r * r}, a1={a1}")
     hyp = gauss_2f1_raw(eta, sden, sden + 1.0, -r * r / a1, policy)
-    return hyp.value * math.exp(-sden * math.log(a1)) / sden
+    log_a1 = math.log(a1)
+    power = math.exp(-sden * log_a1)
+    rnd = (abs(sden * log_a1) + 4.0) * _EPS
+    return EvalResult(hyp.value * power / sden, (hyp.err_est + rnd * abs(hyp.value)) * power / sden,
+                      hyp.n_work, hyp.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +722,10 @@ def _luke_bound(params: MathieuParams, parts: list[EvalResult], policy: QuadPoli
     # and 24 ulps (|A_L| <= 1 + l_L), 4X more for env = exp(-X)
     lam, b, c, pq = params.lam, params.b, params.c, params.pq
     r2, a1, env = params.r * params.r, params.seq.a1, pq.envelope
-    rnd = (24.0 + 4.0 * (math.sqrt(pq.p) + math.sqrt(pq.q)) ** 2) * _EPS
+    big_x = (math.sqrt(pq.p) + math.sqrt(pq.q)) ** 2
+    if env == 0.0:
+        raise DomainError(f"bound underflows: log envelope {-big_x:.1f}")
+    rnd = (24.0 + 4.0 * big_x) * _EPS
     value = err = 0.0
     for mult, big_l, (g_a, g_b) in ((lam, lam + 1.0, parts[:2]), (params.eta, lam, parts[2:])):
         ell = 2.0 * big_l * b * (c + 1.0) / (c * (big_l + 1.0) * (b + 1.0))

@@ -1,24 +1,25 @@
-"""Double-exponential (tanh-sinh) quadrature with endpoint-safe node placement.
+"""Double-exponential (tanh-sinh) quadrature of log-space integrands.
 
 The finite-interval engine maps (lo, hi) through x = mid + half*tanh((pi/2)*sinh t)
 and refines the trapezoidal step h by halving, reusing all previously computed
 nodes.  Node positions are generated together with their exact distances to both
-endpoints, so integrands with integrable endpoint singularities (t**(x-1) with
-x < 1, log t, ...) or flat exponential decay (exp(-p/t)) are handled without
-ever sampling an endpoint.
+endpoints, and every integrand is given as lg(x, x - lo, hi - x), the log of a
+nonnegative f computed from those distances.  The distances are never 0, so
+integrable endpoint singularities (t**(x-1) with x < 1, log t, ...) and flat
+exponential decay (exp(-p/t)) keep full precision however close a node comes
+to an endpoint of magnitude ~1.
 
 Semi-infinite integrals are folded onto (0, 1) by x = lo + u/(1-u) and reuse the
-finite engine; the Jacobian singularity at u = 1 is absorbed by the same
-endpoint clustering.
+finite engine; the Jacobian enters as -2 log(1-u), and its singularity at
+u = 1 is absorbed by the same endpoint clustering.
 
-One node sweep (_fan) serves every entry point, through one of two
-accumulators.  _Sum sums a plain, possibly signed, integrand
-(integrate_finite, integrate_finite_xc, integrate_to_infinity).  _Rows sums
-damped rows exp(lg) * r_j on one fan, evaluating the weight exp(lg) once per
-node: a table of moments, r_j = (x - lo)**j (integrate_log_moments, and a
-log-space integrate_finite_xc as its one-entry table), or a family of
-kernels, r_j = (1 + x_j x)**-lam on (0, 1) (integrate_log_kernels).  Both
-share the stop rules (_verdict).
+One node sweep (_fan) and one accumulator (_Rows) serve every entry point.
+_Rows sums damped rows exp(lg) * r_j on one fan, evaluating the weight
+exp(lg) once per node: a table of moments, r_j = (x - lo)**j
+(integrate_log_moments, whose one-entry table is integrate_finite_xc and,
+after the fold, integrate_to_infinity), or a family of kernels,
+r_j = (1 + x_j x)**-lam on (0, 1) (integrate_log_kernels).  The stop rules
+are shared (_verdict).
 
 All entry points are pure functions of their arguments; there is no global
 mutable state, so concurrent use from multiple threads is safe.
@@ -27,6 +28,7 @@ mutable state, so concurrent use from multiple threads is safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
@@ -38,7 +40,6 @@ from .results import EvalResult
 __all__ = [
     "QuadPolicy",
     "DEFAULT_POLICY",
-    "integrate_finite",
     "integrate_finite_xc",
     "integrate_log_kernels",
     "integrate_log_moments",
@@ -53,6 +54,8 @@ _T_MAX = 6.56
 _CONSEC = 3
 # a contribution at most this share of its sweep's running l1 norm is negligible
 _NEGLIGIBLE = 0.5 * _EPS
+# largest log whose exp is finite
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -100,21 +103,18 @@ def _verdict(level: int, err: float, floor: float, defect: float, defect_prev: f
     return est, stalled, False
 
 
-def _fan(acc, lo: float, hi: float, max_refinements: int, max_evals: int,
-         endpoint_safe: bool) -> int:
+def _fan(acc, lo: float, hi: float, max_refinements: int, max_evals: int) -> int:
     """Sweep the tanh-sinh node fan over (lo, hi), halving the step each level.
 
     Returns the number of node evaluations.  The accumulator ``acc`` owns the
     sums: ``acc.node(x, dlo, dhi, w, delta, side)`` evaluates one node (side
     0 runs toward hi, 1 toward lo, 2 is the centre) and returns True when its
     contribution is negligible; ``acc.forced(side)`` hears that the float grid
-    closed a side; ``acc.settle(level, h)`` folds in a finished level and
-    returns True to stop.  Running out of budget keeps the last settled level.
-
-    endpoint_safe=True: the integrand only sees x, so a side must stop once
-    the abscissa collapses onto the endpoint float grid; any mass left in
-    that sliver is charged to the error estimate.  endpoint_safe=False:
-    distance-aware integrands keep going until the offset itself underflows.
+    closed a side, whose offset from the endpoint (or weight w) underflowed,
+    so that no node has a distance of 0 and the mass left in that sliver goes
+    to the error estimate; ``acc.settle(level, h)`` folds in a finished level
+    and returns True to stop.  Running out of budget keeps the last settled
+    level.
     """
     width = hi - lo
     half = 0.5 * width
@@ -148,7 +148,7 @@ def _fan(acc, lo: float, hi: float, max_refinements: int, max_evals: int,
                     else:
                         x = hi - delta
                         dlo, dhi = width - delta, delta
-                    if delta == 0.0 or w == 0.0 or (endpoint_safe and not lo < x < hi):
+                    if delta == 0.0 or w == 0.0:
                         if side < 2:
                             # closure forced by the float grid, not by smallness
                             open_[side] = False
@@ -169,60 +169,6 @@ def _fan(acc, lo: float, hi: float, max_refinements: int, max_evals: int,
     except _BudgetExceeded:
         pass
     return n_evals
-
-
-class _Sum:
-    """Trapezoid sums of one plain, possibly signed, integrand g(x, dlo, dhi) over a node fan."""
-
-    def __init__(self, g: Callable[[float, float, float], float], policy: QuadPolicy):
-        self.g, self.policy = g, policy
-        self.parts: list[float] = []
-        self.l1 = 0.0
-        # |f| * delta at the last node of each side: a forced closure strands
-        # at most ~16x that much mass (integrable singularities up to ~15/16)
-        self.slivers = [0.0, 0.0, 0.0]
-        self.defect = 0.0
-        self.value = 0.0
-        self.l1_total = 0.0
-        self.est = math.inf
-        self.defect_prev = math.inf
-        self.converged = False
-
-    def node(self, x: float, dlo: float, dhi: float, w: float, delta: float, side: int) -> bool:
-        try:
-            fx = self.g(x, dlo, dhi)
-        except OverflowError:
-            raise IntegrandError(f"integrand overflowed at x={x!r}") from None
-        val = w * fx
-        if not math.isfinite(val):
-            if not math.isfinite(fx):
-                raise IntegrandError(f"non-finite integrand value {fx!r} at x={x!r}")
-            raise IntegrandError(f"integrand contribution overflowed at x={x!r}")
-        self.parts.append(val)
-        self.l1 += abs(val)
-        self.slivers[side] = abs(fx) * delta
-        return abs(val) <= _NEGLIGIBLE * self.l1
-
-    def forced(self, side: int) -> None:
-        self.defect = max(self.defect, 16.0 * self.slivers[side])
-
-    def settle(self, level: int, h: float) -> bool:
-        part = math.fsum(self.parts)
-        keep = 0.0 if level == 0 else 0.5
-        new_value = keep * self.value + h * part
-        self.l1_total = keep * self.l1_total + h * self.l1
-        err = abs(new_value - self.value)
-        self.value = new_value
-        defect = self.defect
-        self.parts, self.l1 = [], 0.0
-        self.slivers, self.defect = [0.0, 0.0, 0.0], 0.0
-        stop = False
-        if level >= 1:
-            tol = max(self.policy.abs_tol, self.policy.rel_tol * abs(new_value))
-            self.est, stop, self.converged = _verdict(level, err, _EPS * 4.0 * self.l1_total,
-                                                      defect, self.defect_prev, tol)
-        self.defect_prev = defect
-        return stop
 
 
 class _Rows:
@@ -264,6 +210,8 @@ class _Rows:
         self.rows: list[list[float]] = []   # per node: contributions of the open entries
         self.logs: list = []                # per node: |log f|, per open entry for kernels
         self.run0 = self.run1 = 0.0         # running sums of the weight and the last power
+        # per side, the newest row and delta / w: a forced closure strands at
+        # most ~16x row * delta / w of mass (singularities up to ~15/16)
         self.last: list = [None, None, None]
         self.stranded: list = []
         self.values = [0.0] * n
@@ -361,13 +309,6 @@ class _Rows:
                 for v, e, c in zip(self.values, self.est, self.converged)]
 
 
-def _tanh_sinh(g: Callable[[float, float, float], float], lo: float, hi: float,
-               policy: QuadPolicy, endpoint_safe: bool) -> EvalResult:
-    acc = _Sum(g, policy)
-    n_evals = _fan(acc, lo, hi, policy.max_refinements, policy.max_evals, endpoint_safe)
-    return EvalResult(acc.value, acc.est, n_evals, acc.converged)
-
-
 def _check_interval(lo: float, hi: float) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
@@ -375,39 +316,22 @@ def _check_interval(lo: float, hi: float) -> None:
         raise DomainError(f"integration interval requires lo < hi, got [{lo}, {hi}]")
 
 
-def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
-                     policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
-    """Integrate f over the open interval (lo, hi).
+def integrate_finite_xc(lg: Callable[[float, float, float], float], lo: float, hi: float,
+                        policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
+    """Integral of exp(lg(x, x - lo, hi - x)) over (lo, hi), lg the log of a nonnegative f.
 
-    Endpoint values are never requested; node abscissae cluster toward the
-    endpoints double-exponentially, so integrable endpoint singularities are
-    fine.  The error estimate is the difference between the last two
-    refinement levels (a deliberate overestimate near convergence).
+    Both endpoint distances are computed to full precision from the node
+    transform and are never 0.  Write singular endpoint factors from them:
+    (1-t)**(y-1) from hi - t keeps the precision that t itself loses to the
+    coarse float grid near an endpoint of magnitude ~1.  lg = -inf is f = 0.
+
+    This is the one-entry table integrate_log_moments(lg, lo, hi, 1,
+    policy)[0].  Its error estimate is the difference of the last two
+    refinement levels (a deliberate overestimate near convergence), at least
+    the floor eps * sum w*f*(|lg| + 6): 4 ulps of summation and the rounding
+    of exp(lg).
     """
-    _check_interval(lo, hi)
-    return _tanh_sinh(lambda x, dlo, dhi: f(x), lo, hi, policy, endpoint_safe=True)
-
-
-def integrate_finite_xc(g: Callable[[float, float, float], float], lo: float, hi: float,
-                        policy: QuadPolicy = DEFAULT_POLICY,
-                        log_space: bool = False) -> EvalResult:
-    """Distance-aware variant of integrate_finite.
-
-    The integrand is called as g(x, x - lo, hi - x) with both endpoint
-    distances computed to full precision from the node transform.  Use this
-    form for integrands whose singular endpoint factors would otherwise lose
-    precision to the coarse float grid near an endpoint of magnitude ~1
-    (for example (1-t)**(y-1) near t = 1).
-
-    With log_space=True, g returns log f of a nonnegative f instead of f:
-    the integral is then the one-entry table integrate_log_moments(g, lo, hi,
-    1, policy)[0], whose error floor also charges the rounding of exp(log f),
-    eps * sum w*f*(|log f| + 2).
-    """
-    if log_space:
-        return integrate_log_moments(g, lo, hi, 1, policy)[0]
-    _check_interval(lo, hi)
-    return _tanh_sinh(g, lo, hi, policy, endpoint_safe=False)
+    return integrate_log_moments(lg, lo, hi, 1, policy)[0]
 
 
 def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float, hi: float,
@@ -431,8 +355,7 @@ def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float,
     if n < 1:
         raise DomainError(f"integrate_log_moments needs n >= 1, got {n}")
     acc = _Rows(lg, n, policy)
-    n_evals = _fan(acc, lo, hi, policy.max_refinements, n * policy.max_evals,
-                   endpoint_safe=False)
+    n_evals = _fan(acc, lo, hi, policy.max_refinements, n * policy.max_evals)
     return acc.results(n_evals)
 
 
@@ -461,18 +384,20 @@ def integrate_log_kernels(lg: Callable[[float, float, float], float], lam: float
     if not all(0.0 <= x <= 1.0 for x in xs):
         raise DomainError("integrate_log_kernels needs every x_n in [0, 1]")
     acc = _Rows(lg, len(xs), policy, lam, xs)
-    n_evals = _fan(acc, 0.0, 1.0, policy.max_refinements, policy.max_evals,
-                   endpoint_safe=False)
+    n_evals = _fan(acc, 0.0, 1.0, policy.max_refinements, policy.max_evals)
     return acc.results(n_evals)
 
 
-def integrate_to_infinity(f: Callable[[float], float], lo: float,
-                          policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
-    """Integrate f over [lo, inf) for absolutely integrable, decaying f.
 
-    Uses the substitution x = lo + u/(1-u) onto (0, 1) and the finite engine.
-    A tail that fails to decay makes the transformed integrand overflow; that
-    is flagged and reported as converged=False rather than raising.
+
+def integrate_to_infinity(lg: Callable[[float], float], lo: float,
+                          policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
+    """Integral of exp(lg(x)) over (lo, inf), lg the log of a nonnegative, decaying f.
+
+    The substitution x = lo + u/(1-u) folds it onto (0, 1), where
+    integrate_finite_xc sums lg(x) - 2 log(1-u).  A tail that fails to decay
+    drives that sum past the float range; such a node counts as 0 and the
+    result is reported converged=False rather than raising.
     """
     if not math.isfinite(lo):
         raise DomainError("lower integration limit must be finite")
@@ -480,21 +405,17 @@ def integrate_to_infinity(f: Callable[[float], float], lo: float,
 
     def g(u: float, dlo: float, dhi: float) -> float:
         nonlocal blowup
-        x = lo + u / dhi
-        fx = f(x)
-        if fx == 0.0:
-            return 0.0
-        if not math.isfinite(fx):
-            raise IntegrandError(f"non-finite integrand value {fx!r} at x={x!r}")
-        # two-step division: dhi*dhi may underflow although the quotient
-        # is representable
-        val = fx / dhi / dhi
-        if not math.isfinite(val):
+        x = lo + dlo / dhi
+        lf = lg(x)
+        if not lf < math.inf:
+            raise IntegrandError(f"non-finite log integrand {lf!r} at x={x!r}")
+        lf -= 2.0 * math.log(dhi)
+        if lf > _LOG_MAX:
             blowup = True
-            return 0.0
-        return val
+            return -math.inf
+        return lf
 
-    res = _tanh_sinh(g, 0.0, 1.0, policy, endpoint_safe=False)
+    res = integrate_finite_xc(g, 0.0, 1.0, policy)
     if blowup:
         return EvalResult(res.value, math.inf, res.n_work, False)
     return res

@@ -93,6 +93,17 @@ def test_underflowed_kummer_reflection_exits_1_with_one_line(capsys):
     assert err == "domain error: extended_kummer underflows at z=-200.0: reflected series is 0\n"
 
 
+def test_underflowed_bound_envelope_exits_1_with_one_line(capsys):
+    # exp(-(sqrt(p) + sqrt(q))^2) = exp(-800) is 0: an upper bound of 0 for a
+    # positive series would be no bound at all
+    from pqmathieu.cli import main
+    assert main(["eval", "--target", "bound", "--lambda", "1", "--eta", "3", "--r", "0.5",
+                 "--b", "1", "--c", "2", "--p", "200", "--q", "200", "--seq", "n"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "domain error: bound underflows: log envelope -800.0\n"
+
+
 @pytest.mark.parametrize("a, b, c, z, p, q", [
     (1.1579250980374536, 1.7829333257602047, 2.610814453421793, -0.8118594307696968,
      1.6552455042755627, 0.06594786953119675),

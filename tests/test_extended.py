@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pqmathieu.classical import HyperTriple, beta, gauss_2f1, kummer_1f1
 from pqmathieu.errors import DomainError
-from pqmathieu.extended import (PQParams, envelope_factor, extended_beta, extended_beta_table,
+from pqmathieu.extended import (PQParams, extended_beta, extended_beta_table,
                                 extended_gauss_fan, extended_gauss_integral,
                                 extended_gauss_series, extended_kummer, gauss_bound_rhs,
                                 kummer_coefficient_table, kummer_series_value)
@@ -36,11 +36,11 @@ def test_pq_validation():
 
 
 def test_envelope_values():
-    assert envelope_factor(PQParams()) == 1.0
+    assert PQParams().envelope == 1.0
     # symmetric case collapses to exp(-4p)
-    assert envelope_factor(PQParams(1.0, 1.0)) == pytest.approx(math.exp(-4.0), rel=1e-15)
-    assert envelope_factor(PQParams(0.3, 0.3)) == pytest.approx(math.exp(-1.2), rel=1e-15)
-    assert envelope_factor(PQParams(1.0, 4.0)) == pytest.approx(math.exp(-9.0), rel=1e-15)
+    assert PQParams(1.0, 1.0).envelope == pytest.approx(math.exp(-4.0), rel=1e-15)
+    assert PQParams(0.3, 0.3).envelope == pytest.approx(math.exp(-1.2), rel=1e-15)
+    assert PQParams(1.0, 4.0).envelope == pytest.approx(math.exp(-9.0), rel=1e-15)
 
 
 def test_extended_beta_reductions():
@@ -380,10 +380,10 @@ def test_kummer_table_matches_direct_evaluation():
 
 def test_gauss_bound_rhs():
     trip = HyperTriple(1.0, 1.0, 2.0)
-    assert gauss_bound_rhs(trip, -0.5, PQParams()) == pytest.approx(
+    assert gauss_bound_rhs(trip, -0.5, PQParams()).value == pytest.approx(
         gauss_2f1(trip, 0.5).value, rel=1e-13)
     want = math.exp(-4.0) * 2.0 * math.log(2.0)
-    assert gauss_bound_rhs(trip, -0.5, PQParams(1.0, 1.0)) == pytest.approx(want, rel=1e-12)
+    assert gauss_bound_rhs(trip, -0.5, PQParams(1.0, 1.0)).value == pytest.approx(want, rel=1e-12)
 
 
 def test_gauss_envelope_inequality():
@@ -394,7 +394,7 @@ def test_gauss_envelope_inequality():
         z = rng.uniform(-0.9, 0.9)
         pq = PQParams(rng.uniform(0, 1.5), rng.uniform(0, 1.5))
         lhs = abs(extended_gauss_integral(trip, z, pq).value)
-        assert lhs <= gauss_bound_rhs(trip, z, pq) + 1e-10
+        assert lhs <= gauss_bound_rhs(trip, z, pq).value + 1e-10
 
 
 def test_laplace_kernel_identity_spot():
