@@ -4,10 +4,11 @@ and sweep parameters, with plain / CSV / JSON line output.
 Exit codes: 0 success, 1 domain error or integrand overflow (one line on
 stderr names the violated precondition or the overflow), 2 non-convergence
 or failed checks, 64 (EX_USAGE) a rejected command line: one argparse
-rejects, or a --sweep whose LO, HI or STEPS does not parse.  Identical
-command lines produce byte-identical output.  Each command runs in one
-extended-Beta column scope (extended._beta_column_scope): its rows and
-routes share their kernel-expansion coefficients, and the printed values and
+rejects, a --sweep whose LO, HI or STEPS does not parse, or a scan that
+sweeps one parameter twice.  Identical command lines produce byte-identical
+output.  Each command runs in one scope (extended._command_scope): its rows
+and routes share their kernel-expansion coefficients, the extended-Beta
+column and the bound's four coefficient lists, and the printed values and
 work counts are those of separate commands.
 """
 
@@ -22,7 +23,7 @@ import sys
 
 from .classical import HyperTriple
 from .errors import DomainError, IntegrandError
-from .extended import (PQParams, _beta_column_scope, extended_beta, extended_gauss_integral,
+from .extended import (PQParams, _command_scope, extended_beta, extended_gauss_integral,
                        extended_gauss_series, extended_kummer)
 from .mathieu import (MathieuParams, SequenceSpec, bound_mathieu_alt_rhs, bound_mathieu_rhs,
                       mathieu_alt_via_integral, mathieu_alternating_direct, mathieu_direct,
@@ -240,6 +241,8 @@ def cmd_scan(ns: argparse.Namespace) -> int:
         key = "lam" if name == "lambda" else name
         if key not in NUMERIC:
             raise DomainError(f"cannot sweep parameter {name!r}")
+        if key in dict(axes):
+            raise _UsageError(f"--sweep {name}: parameter {key!r} is swept twice")
         lo_f, hi_f = _sweep_field(name, "LO", lo, float), _sweep_field(name, "HI", hi, float)
         n = _sweep_field(name, "STEPS", steps, int)
         if n < 1:
@@ -276,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EX_USAGE if exc.code else 0
     try:
-        with _beta_column_scope():
+        with _command_scope():
             if ns.command == "eval":
                 return cmd_eval(ns)
             if ns.command == "verify":

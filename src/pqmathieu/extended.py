@@ -14,10 +14,11 @@ j = 0 .. n-1, come from one shared tanh-sinh node set per table
 (extended_beta_table); the series grow theirs in blocks of 32 entries as
 they advance.  The Mathieu routes' kernel expansions read the column
 B(c-b+m, b; q, p), m = 0, 1, ..., which depends on neither r nor the
-sequence: inside one _beta_column_scope (the CLI opens one per command)
-every expansion with the same column key reads one shared column.  Outside
-a scope each builds its own, so a library call stays a pure function of its
-arguments.
+sequence: inside one _command_scope (the CLI opens one per command)
+every expansion with the same column key reads one shared column, and the
+bound reuses its four coefficient lists (_scoped holds the last of each
+kind).  Outside a scope each call builds its own, so a library call stays a
+pure function of its arguments.
 
 All integrands are evaluated in log space from the exact endpoint distances
 supplied by the quadrature engine, so (t**(x-1)) and ((1-t)**(y-1)) factors
@@ -163,33 +164,37 @@ class _BetaColumn:
         return sum(self.block_work[:-(-n // _BLOCK)])
 
 
-# the column of the current _beta_column_scope: None outside any scope, else
-# a one-slot list [key, column] holding the column last asked for
-_SCOPE: ContextVar[list | None] = ContextVar("pqmathieu_beta_column", default=None)
+# the memo of the current _command_scope: None outside any scope, else a dict
+# holding, per kind, the key last asked for and what was built for it
+_SCOPE: ContextVar[dict | None] = ContextVar("pqmathieu_command_scope", default=None)
 
 
 @contextlib.contextmanager
-def _beta_column_scope():
-    """Within the block, _shared_column hands every caller asking for the same
-    (x0, y, pq, policy) one _BetaColumn.  One slot: a new key replaces the
-    column, which bounds the memory a sweep holds.  The scope belongs to the
+def _command_scope():
+    """Within the block, _scoped hands every caller asking for the same kind
+    and key one object.  One entry per kind: a new key replaces the kind's
+    entry, which bounds the memory a sweep holds.  The scope belongs to the
     current context, so code running in another thread does not see it."""
-    token = _SCOPE.set([None, None])
+    token = _SCOPE.set({})
     try:
         yield
     finally:
         _SCOPE.reset(token)
 
 
+def _scoped(kind: str, key: tuple, build: Callable[[], object]):
+    """The scope's object of this kind for key, or build() outside any scope."""
+    memo = _SCOPE.get()
+    if memo is None:
+        return build()
+    if kind not in memo or memo[kind][0] != key:
+        memo[kind] = key, build()
+    return memo[kind][1]
+
+
 def _shared_column(x0: float, y: float, pq: PQParams, policy: QuadPolicy) -> _BetaColumn:
-    """The scope's column for this key, or a fresh one outside any scope."""
-    slot = _SCOPE.get()
-    if slot is None:
-        return _BetaColumn(x0, y, pq, policy)
-    key = (x0, y, pq, policy)
-    if slot[0] != key:
-        slot[:] = key, _BetaColumn(x0, y, pq, policy)
-    return slot[1]
+    """The scope's column B(x0 + j, y; p, q) under policy, or a fresh one."""
+    return _scoped("beta", (x0, y, pq, policy), lambda: _BetaColumn(x0, y, pq, policy))
 
 
 def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,

@@ -34,12 +34,15 @@ I(alpha, beta) has the same form at coefficients kappa_m/sigma_m,
 sigma_m = alpha+beta-1+m, and so do the bounds' counting-weight power
 integrals (constant kernel, kappa_m = (s)_m/m!).  Every one of them reads
 one column of such power sums (_PowerColumn), one entry per order; the
-bound's four integrals share one.  The column and the direct route sum
-their terms below one tail start directly and complete them with one
-tail there.  Every power tail, plain or alternating, is a Hurwitz zeta sum
-and comes from one primitive (_hurwitz_zeta: Euler-Maclaurin with a
-provable remainder), its exponent carried as an exact pair such as
-lam+eta+m, so that t - 1 keeps its digits as the tails approach divergence.
+bound's four integrals share one and are summed together, one pass over
+the orders reading each entry and r^(2m) once (_power_tail), their four
+coefficient lists shared across a command's rows.  The column and the
+direct route sum their terms below one tail start directly and complete
+them with one tail there.  Every power tail, plain or alternating, is a
+Hurwitz zeta sum and comes from one primitive (_hurwitz_zeta:
+Euler-Maclaurin with a provable remainder), its exponent carried as an
+exact pair such as lam+eta+m, so that t - 1 keeps its digits as the tails
+approach divergence.
 All remainders, including the omitted expansion orders and the rounding,
 are tracked and reported in err_est.
 """
@@ -53,7 +56,7 @@ from typing import Callable
 from .classical import HyperTriple, gauss_2f1_raw
 from .classical import beta as beta_fn
 from .errors import DivergenceError, DomainError
-from .extended import PQParams, _shared_column, extended_gauss_fan
+from .extended import PQParams, _scoped, _shared_column, extended_gauss_fan
 from .extended import extended_beta  # noqa: F401  (traced by bench/worker.py)
 from .extended import extended_gauss_integral  # noqa: F401  (traced by bench/worker.py)
 from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc
@@ -187,7 +190,7 @@ class _KernelCoeffs:
     the low part dropped from the divisor charged to their errors.
 
     The extended Beta column is _shared_column's: inside a
-    _beta_column_scope, expansions with the same (c-b, b, (q, p), policy)
+    _command_scope, expansions with the same (c-b, b, (q, p), policy)
     read one column, whoever grew it.  work counts the node evaluations of
     the Beta blocks covering the entries this expansion used, so it does
     not depend on which route asked first.
@@ -421,30 +424,39 @@ def _orders(alpha: float, w: float, target: float) -> tuple[int, float]:
     return m, (1.0 / (1.0 - q) if q < 1.0 else math.inf)
 
 
-def _power_tail(coeffs: _KernelCoeffs, r2: float, w: float,
-                order_tail: Callable[[int], tuple[float, float, float]]
-                ) -> tuple[float, float, int]:
-    # sum_m kappa_m r^(2m) T_m over the orders m <= m_top kept at ratio w (at
-    # least r^2/(a_n+r^2) on every power that T_m sums), its error bound and
-    # m_top; order_tail(m) gives T_m, its error bound and an M_m such that
-    # the omitted orders j >= m_top add at most
-    # |kappa_m_top| r^(2 m_top) M_m_top / (1-q), q as in _orders
-    m_top, omit = _orders(coeffs.alpha, w, 1e-16)
-    coeffs.grow(m_top + 1)
-    terms = []
-    err = 0.0
-    for m in range(m_top + 1):
-        t_m, b_m, major = order_tail(m)
-        r2m = r2 ** m
-        weight = coeffs.values[m] * r2m
-        err += coeffs.err_values[m] * r2m * abs(t_m) + abs(weight) * b_m
-        if m < m_top:
-            terms.append(weight * t_m)
-        else:
-            err += omit * abs(weight) * major
-    # the orders' sum rounds once, at half an ulp of the total
-    tail = math.fsum(terms)
-    return tail, err + 0.5 * _EPS * abs(tail), m_top
+def _power_tail(sets: list[tuple[_KernelCoeffs, int]], r2: float, w: float,
+                order_tail: Callable[[int, int], tuple[float, float, float]]
+                ) -> list[tuple[float, float, int]]:
+    # for each set (kappa, offset): sum_m kappa_m r^(2m) T_m over the orders
+    # m <= m_top kept at ratio w (at least r^2/(a_n+r^2) on every power that
+    # T_m sums), its error bound and m_top; order_tail(m, offset) gives T_m,
+    # its error bound and an M_m such that the omitted orders j >= m_top add
+    # at most |kappa_m_top| r^(2 m_top) M_m_top / (1-q), q as in _orders.
+    # One pass over the orders reads r^(2m) and each offset's T_m once; the
+    # sets then sum their terms from those lists
+    tops = [_orders(coeffs.alpha, w, 1e-16) for coeffs, _ in sets]
+    last: dict[int, int] = {}  # the last order read at each offset
+    for (coeffs, offset), (m_top, _) in zip(sets, tops):
+        coeffs.grow(m_top + 1)
+        last[offset] = max(last.get(offset, 0), m_top)
+    r2ms = [r2 ** m for m in range(max(last.values()) + 1)]
+    tails = {offset: [order_tail(m, offset) for m in range(n + 1)] for offset, n in last.items()}
+    out = []
+    for (coeffs, offset), (m_top, omit) in zip(sets, tops):
+        terms = []
+        err = 0.0
+        for m, kappa, kappa_err, r2m, (t_m, b_m, major) in zip(
+                range(m_top + 1), coeffs.values, coeffs.err_values, r2ms, tails[offset]):
+            weight = kappa * r2m
+            err += kappa_err * r2m * abs(t_m) + abs(weight) * b_m
+            if m < m_top:
+                terms.append(weight * t_m)
+            else:
+                err += omit * abs(weight) * major
+        # the orders' sum rounds once, at half an ulp of the total
+        tail = math.fsum(terms)
+        out.append((tail, err + 0.5 * _EPS * abs(tail), m_top))
+    return out
 
 
 def _inner_policy(policy: QuadPolicy) -> QuadPolicy:
@@ -481,7 +493,8 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
         terms.append(sign * fres.value * w)
         err += fres.err_est * w
     coeffs = _KernelCoeffs(lam, params.b, params.c, params.pq, inner, kind)
-    tail, tail_err, _ = _power_tail(coeffs, r2, r2 / (seq.value(a_start) + r2), sums)
+    (tail, tail_err, _), = _power_tail([(coeffs, 0)], r2, r2 / (seq.value(a_start) + r2),
+                                       lambda m, _: sums(m))
     value = math.fsum(terms) + tail
     err += tail_err
     tol = max(policy.abs_tol, policy.rel_tol * abs(value))
@@ -570,27 +583,30 @@ class _PowerColumn:
             self.entries.append((direct + tail, err + 0.5 * _EPS * abs(direct + tail), sums.work))
         return self.entries[j]
 
-    def integral(self, coeffs: _KernelCoeffs, offset: int, policy: QuadPolicy,
-                 head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> EvalResult:
-        # head + the integral over (a_f, inf) of -f' against the weight, f the
-        # expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m), s1 = s0+offset, c_m from
-        # coeffs: sum_m c_m r^(2m) C_(m+offset); work: the entries' zetas and
-        # the coefficients' nodes
-        def order_tail(m: int) -> tuple[float, float, float]:
+    def integral(self, sets: list[tuple[_KernelCoeffs, int]], policy: QuadPolicy,
+                 head: EvalResult = EvalResult(0.0, 0.0, 0, True)) -> list[EvalResult]:
+        # per set (coeffs, offset), head + the integral over (a_f, inf) of -f'
+        # against the weight, f the expansion sum_m c_m r^(2m) (x+r^2)^-(s1+m),
+        # s1 = s0+offset, c_m from coeffs: sum_m c_m r^(2m) C_(m+offset); work:
+        # the entries' zetas and the coefficients' nodes
+        def order_tail(m: int, offset: int) -> tuple[float, float, float]:
             c, c_err, _ = self._entry(m + offset)
             major = self.us[0] ** -(self.s0[0] + (m + offset)) if self.sums.alternating else c
             return c, c_err + (3.0 * m + 2.0) * _EPS * abs(c), major
 
-        s1 = _plus(self.s0, float(offset))
-        tail, err, m_top = _power_tail(coeffs, self.r2, self.w, order_tail)
-        # 2^(-e s1) rounds once, drops the low part of s1, and its product once
-        scale = math.ldexp(1.0, -self.e) ** s1[0]
-        err += (2.0 * _EPS + abs(s1[1] * self.e)) * abs(tail) if self.e else 0.0
-        value, err = head.value + scale * tail, scale * err + head.err_est
-        work = self.entries[offset + m_top][2] - (self.entries[offset - 1][2] if offset else 0)
-        tol = max(policy.abs_tol, policy.rel_tol * abs(value))
-        return EvalResult(value, err, head.n_work + work + coeffs.work,
-                          err <= tol and head.converged)
+        results = []
+        for (coeffs, offset), (tail, err, m_top) in zip(
+                sets, _power_tail(sets, self.r2, self.w, order_tail)):
+            s1 = _plus(self.s0, float(offset))
+            # 2^(-e s1) rounds once, drops the low part of s1, and its product once
+            scale = math.ldexp(1.0, -self.e) ** s1[0]
+            err += (2.0 * _EPS + abs(s1[1] * self.e)) * abs(tail) if self.e else 0.0
+            value, err = head.value + scale * tail, scale * err + head.err_est
+            work = self.entries[offset + m_top][2] - (self.entries[offset - 1][2] if offset else 0)
+            tol = max(policy.abs_tol, policy.rel_tol * abs(value))
+            results.append(EvalResult(value, err, head.n_work + work + coeffs.work,
+                                      err <= tol and head.converged))
+        return results
 
 
 def _u_coeffs(alpha: float, s1: tuple[float, float]) -> _KernelCoeffs:
@@ -617,7 +633,7 @@ def cahen_integral(alpha: float, beta_: float, params: MathieuParams, alternatin
     column = _PowerColumn(params.seq, params.r * params.r, s0, 1, alternating)
     coeffs = _KernelCoeffs(alpha, params.b, params.c, params.pq, _inner_policy(policy),
                            kernel, s0)
-    return column.integral(coeffs, 0, policy)
+    return column.integral([(coeffs, 0)], policy)[0]
 
 
 def _representation(params: MathieuParams, policy: QuadPolicy,
@@ -629,7 +645,7 @@ def _representation(params: MathieuParams, policy: QuadPolicy,
                           1, alternating)
     coeffs = _KernelCoeffs(params.lam, params.b, params.c, params.pq, _inner_policy(policy),
                            "extended")
-    return column.integral(coeffs, 0, policy)
+    return column.integral([(coeffs, 0)], policy)[0]
 
 
 def mathieu_via_integral(params: MathieuParams,
@@ -670,7 +686,8 @@ def u_integral(seq: SequenceSpec, lam: float, eta: float, r: float,
                       math.fsum(n * q.err_est for n, q in enumerate(near, 1)),
                       sum(q.n_work for q in near), all(q.converged for q in near))
     s0 = _plus(_plus((lam, 0.0), eta), -1.0)
-    return _PowerColumn(seq, r2, s0, len(near) + 1).integral(_u_coeffs(lam, s0), 0, policy, head)
+    column = _PowerColumn(seq, r2, s0, len(near) + 1)
+    return column.integral([(_u_coeffs(lam, s0), 0)], policy, head)[0]
 
 
 def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
@@ -740,16 +757,19 @@ def _luke_bound(params: MathieuParams, parts: list[EvalResult], policy: QuadPoli
 
 def bound_mathieu_rhs(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Printed four-term upper bound for the series: envelope factor, Luke's
-    coefficients, and four counting-weight power integrals (u_integral
-    rejects the divergent ones, lam+eta <= 1 + 1/k)."""
+    coefficients, and four counting-weight power integrals, summed in one
+    pass over one power-sum column (its _PowerSums raises DivergenceError
+    on the divergent ones, lam+eta <= 1 + 1/k)."""
     _check_bound_window(params)
-    # u_integral at (lam+1, eta), (lam, eta), (lam, eta+1), (lam-1, eta+1): one
-    # column at s0 = lam+eta-1 exactly, read at offsets 1, 0, 1, 0 (from N = 1)
+    # the u_integrals at (lam+1, eta), (lam, eta), (lam, eta+1), (lam-1, eta+1):
+    # one column at s0 = lam+eta-1 exactly, read at offsets 1, 0, 1, 0 (from
+    # N = 1); their coefficient lists depend on lam and s0 only
     lam, s0 = params.lam, _plus(_plus((params.lam, 0.0), params.eta), -1.0)
     column = _PowerColumn(params.seq, params.r * params.r, s0, 1)
-    return _luke_bound(params, [column.integral(_u_coeffs(alpha, _plus(s0, offset)), offset, policy)
-                                for alpha, offset in ((lam + 1.0, 1), (lam, 0), (lam, 1),
-                                                      (lam - 1.0, 0))], policy)
+    sets = _scoped("bound", (lam, s0), lambda: [
+        (_u_coeffs(alpha, _plus(s0, offset)), offset)
+        for alpha, offset in ((lam + 1.0, 1), (lam, 0), (lam, 1), (lam - 1.0, 0))])
+    return _luke_bound(params, column.integral(sets, policy), policy)
 
 
 def bound_mathieu_alt_rhs(params: MathieuParams,

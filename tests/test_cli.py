@@ -159,6 +159,18 @@ def test_usage_errors_exit_64():
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1
         assert f"--sweep r {field} must be" in out.stderr
+    # a parameter swept twice, under one spelling or two, would drop an axis
+    bound = ("scan", "--target", "bound", "--lambda", "0.5", "--eta", "3", "--b", "1", "--c", "2",
+             "--p", "0.5", "--q", "0.5", "--seq", "n")
+    for axes, name in ((("--sweep", "r", "0.1", "0.5", "2", "--sweep", "r", "0.6", "0.9", "2"),
+                        "'r'"),
+                       (("--r", "0.5", "--sweep", "lambda", "0.1", "0.5", "2",
+                         "--sweep", "lam", "0.6", "0.9", "2"), "'lam'")):
+        out = run_cli(*bound, *axes)
+        assert out.returncode == 64, axes
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert f"parameter {name} is swept twice" in out.stderr
 
 
 def test_help_exits_0():
@@ -330,6 +342,67 @@ def test_shared_column_leaves_every_record_unchanged(capsys):
         assert both == alone
 
 
+BOUND = ("--target", "bound", "--lambda", "0.7", "--b", "0.8", "--c", "2.1", "--p", "0.4",
+         "--q", "1.1", "--seq", "n^k", "--k", "2", "--output", "json")
+
+
+@pytest.fixture
+def coeff_lists(monkeypatch):
+    # the kernel-expansion coefficient lists built, one entry per _KernelCoeffs
+    import pqmathieu.mathieu as mathieu
+    built = []
+    coeffs = mathieu._KernelCoeffs
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return coeffs(*args, **kwargs)
+
+    monkeypatch.setattr(mathieu, "_KernelCoeffs", counting)
+    return built
+
+
+def test_one_command_builds_the_bound_coefficient_lists_once(coeff_lists, capsys):
+    # the bound's four lists (alpha)_m/m!/(s0+offset+m) depend on neither r
+    # nor the sequence: a 20-row scan builds them once, a second command again
+    scan = ("scan", *BOUND, "--eta", "2", "--sweep", "r", "0.1", "0.95", "20")
+    assert len(_records(capsys, *scan)) == 20
+    assert len(coeff_lists) == 4
+    _records(capsys, *scan)
+    assert len(coeff_lists) == 8
+    # a library call outside a command builds its own lists, as it builds its own column
+    import math
+
+    from pqmathieu.extended import PQParams, _command_scope
+    from pqmathieu.mathieu import MathieuParams, SequenceSpec, bound_mathieu_rhs
+
+    params = MathieuParams(0.7, 2.0, math.sqrt(0.5), 0.8, 2.1, PQParams(0.4, 1.1),
+                           SequenceSpec.power(1.0, 2.0))
+    first = bound_mathieu_rhs(params)
+    assert bound_mathieu_rhs(params) == first
+    assert len(coeff_lists) == 16
+    with _command_scope():
+        assert bound_mathieu_rhs(params) == first
+        assert bound_mathieu_rhs(params) == first
+    assert len(coeff_lists) == 20
+
+
+def test_bound_scan_rows_print_their_own_eval(capsys):
+    # at k = 2 the memo's key (lam, lam+eta-1) changes with eta: row by row
+    # when eta is the inner axis, once when it is the outer one, after which
+    # r falls and every row finds its lists grown further than it needs
+    from pqmathieu.cli import main
+
+    for sweep in (("--sweep", "r", "0.1", "0.95", "20", "--sweep", "eta", "2.0", "2.5", "2"),
+                  ("--sweep", "eta", "2.0", "2.5", "2", "--sweep", "r", "0.95", "0.1", "20")):
+        assert main(["scan", *BOUND, *sweep]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 40
+        for line in rows:
+            rec = json.loads(line)
+            assert main(["eval", *BOUND, "--r", repr(rec["r"]), "--eta", repr(rec["eta"])]) == 0
+            assert capsys.readouterr().out == line + "\n"
+
+
 def test_library_calls_outside_a_command_build_their_own_column(capsys, monkeypatch):
     # the integral route of the work-count probe (tests/test_work_counts.py)
     # spends its pinned 323 nodes, all in its Beta column, unless it runs
@@ -338,7 +411,7 @@ def test_library_calls_outside_a_command_build_their_own_column(capsys, monkeypa
     import threading
 
     import pqmathieu.quadrature as quadrature
-    from pqmathieu.extended import PQParams, _beta_column_scope
+    from pqmathieu.extended import PQParams, _command_scope
     from pqmathieu.mathieu import MathieuParams, SequenceSpec, mathieu_via_integral
 
     probe = MathieuParams(1.0, 1.0, math.sqrt(0.5), 1.0, 2.0, PQParams(0.5, 0.5),
@@ -361,7 +434,7 @@ def test_library_calls_outside_a_command_build_their_own_column(capsys, monkeypa
     _records(capsys, "eval", "--target", "mathieu", "--method", "both",
              "--r", repr(math.sqrt(0.5)), *MATHIEU)
     assert nodes() == 323
-    with _beta_column_scope():
+    with _command_scope():
         assert nodes() == 323
         assert nodes() == 0
         # another thread runs in its own context, outside this scope
