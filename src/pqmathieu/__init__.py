@@ -8,11 +8,11 @@ concurrently.
 """
 
 from .classical import (HyperTriple, beta, gauss_2f1, gauss_2f1_raw, kummer_1f1,
-                        log_gamma, luke_bound_rhs, pochhammer)
+                        log_gamma, luke_bound_rhs)
 from .errors import DivergenceError, DomainError, IntegrandError
 from .extended import (PQParams, extended_beta, extended_beta_table, extended_gauss_fan,
                        extended_gauss_integral, extended_gauss_series, extended_kummer,
-                       gauss_bound_rhs, kummer_coefficient_table, kummer_series_value)
+                       gauss_bound_rhs)
 from .mathieu import (MathieuParams, SequenceSpec, alternating_counting_value,
                       bound_mathieu_alt_rhs, bound_mathieu_rhs, cahen_integral,
                       closed_tail_2f1, counting_value, mathieu_alt_via_integral,
@@ -56,14 +56,11 @@ __all__ = [
     "integrate_log_moments",
     "integrate_to_infinity",
     "kummer_1f1",
-    "kummer_coefficient_table",
-    "kummer_series_value",
     "log_gamma",
     "luke_bound_rhs",
     "mathieu_alt_via_integral",
     "mathieu_alternating_direct",
     "mathieu_direct",
     "mathieu_via_integral",
-    "pochhammer",
     "u_integral",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "HyperTriple",
     "log_gamma",
     "beta",
-    "pochhammer",
     "gauss_2f1",
     "gauss_2f1_raw",
     "kummer_1f1",
@@ -56,16 +55,6 @@ def beta(x: float, y: float) -> float:
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise DomainError("pochhammer requires n >= 0")
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
 
 
 def _positive_series(ratio, rel_tol: float, max_terms: int,

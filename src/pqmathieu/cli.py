@@ -4,12 +4,14 @@ and sweep parameters, with plain / CSV / JSON line output.
 Exit codes: 0 success, 1 domain error or integrand overflow (one line on
 stderr names the violated precondition or the overflow), 2 non-convergence
 or failed checks, 64 (EX_USAGE) a rejected command line: one argparse
-rejects, a --sweep whose LO, HI or STEPS does not parse, or a scan that
-sweeps one parameter twice.  Identical command lines produce byte-identical
+rejects, a --sweep whose LO, HI or STEPS does not parse or whose STEPS is
+below 1, a third --sweep, or a scan that sweeps one parameter twice or a
+parameter no row of its target reads (k only under --seq n^k or c*n^k,
+scale only under c*n^k).  Identical command lines produce byte-identical
 output.  Each command runs in one scope (extended._command_scope): its rows
-and routes share their kernel-expansion coefficients, the extended-Beta
-column and the bound's four coefficient lists, and the printed values and
-work counts are those of separate commands.
+and routes share the extended-Beta column of their Gauss and Kummer series
+and of their kernel expansions, and the bound's four coefficient lists, and
+the printed values and work counts are those of separate commands.
 """
 
 from __future__ import annotations
@@ -233,20 +235,25 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_scan(ns: argparse.Namespace) -> int:
     if len(ns.sweep) > 2:
-        raise DomainError("scan supports one or two swept parameters")
+        raise _UsageError(f"scan sweeps one or two parameters, got {len(ns.sweep)} --sweep")
     policy = _policy(ns)
     base = _vals_from(ns)
+    names = TARGET_PARAMS[ns.target]
+    # a row reads k only under --seq n^k or c*n^k, and scale only under c*n^k
+    by_seq = {"n^k": {"k"}, "c*n^k": {"k", "scale"}}.get(ns.seq, set()) if "seq" in names else set()
+    readable = set(NUMERIC).intersection(names) | by_seq
+    under = f" under --seq {ns.seq}" if "seq" in names and ns.seq else ""
     axes = []
     for name, lo, hi, steps in ns.sweep:
         key = "lam" if name == "lambda" else name
-        if key not in NUMERIC:
-            raise DomainError(f"cannot sweep parameter {name!r}")
+        if key not in readable:
+            raise _UsageError(f"--sweep {name}: no {ns.target} row{under} reads parameter {key!r}")
         if key in dict(axes):
             raise _UsageError(f"--sweep {name}: parameter {key!r} is swept twice")
         lo_f, hi_f = _sweep_field(name, "LO", lo, float), _sweep_field(name, "HI", hi, float)
         n = _sweep_field(name, "STEPS", steps, int)
         if n < 1:
-            raise DomainError("sweep needs at least one step")
+            raise _UsageError(f"--sweep {name} STEPS must be at least 1, got {n}")
         axes.append((key, [lo_f + (hi_f - lo_f) * i / max(n - 1, 1) for i in range(n)]))
 
     rows = []

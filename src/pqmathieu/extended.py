@@ -9,16 +9,17 @@ Euler integral), over B(c-b+n, b; q, p) with positive terms: the Gauss
 series in Pfaff form at ratio z/(z-1) < 1/2, the Kummer series at ratio -z;
 _scaled applies their factor (1-z)^(-a) or e^z.  Kernel values
 F_{p,q}(a, b; c; -x) at many x in [0, 1] share one node fan
-(extended_gauss_fan).  Coefficient tables B(x0+j, y; p, q),
-j = 0 .. n-1, come from one shared tanh-sinh node set per table
-(extended_beta_table); the series grow theirs in blocks of 32 entries as
-they advance.  The Mathieu routes' kernel expansions read the column
-B(c-b+m, b; q, p), m = 0, 1, ..., which depends on neither r nor the
-sequence: inside one _command_scope (the CLI opens one per command)
-every expansion with the same column key reads one shared column, and the
-bound reuses its four coefficient lists (_scoped holds the last of each
-kind).  Outside a scope each call builds its own, so a library call stays a
-pure function of its arguments.
+(extended_gauss_fan).  Every series coefficient column B(x0+j, y; p, q),
+j = 0, 1, ..., comes from _shared_column and grows in blocks of 32 entries,
+each from one shared tanh-sinh node set (extended_beta_table), as its series
+advances.  Inside one _command_scope (the CLI opens one per command) every
+Gauss or Kummer series and every Mathieu kernel expansion with the same
+column key (x0, y, (p, q), policy) reads one shared column, and the bound
+reuses its four coefficient lists (_scoped holds the last of each kind).
+The Mathieu expansions read B(c-b+m, b; q, p), which depends on neither r
+nor the sequence; a Gauss or Kummer scan over z reads one column for all
+its rows on one side of z = 0.  Outside a scope each call builds its own,
+so a library call stays a pure function of its arguments.
 
 All integrands are evaluated in log space from the exact endpoint distances
 supplied by the quadrature engine, so (t**(x-1)) and ((1-t)**(y-1)) factors
@@ -48,8 +49,6 @@ __all__ = [
     "extended_gauss_integral",
     "extended_gauss_series",
     "extended_kummer",
-    "kummer_coefficient_table",
-    "kummer_series_value",
     "gauss_bound_rhs",
 ]
 
@@ -193,7 +192,9 @@ def _scoped(kind: str, key: tuple, build: Callable[[], object]):
 
 
 def _shared_column(x0: float, y: float, pq: PQParams, policy: QuadPolicy) -> _BetaColumn:
-    """The scope's column B(x0 + j, y; p, q) under policy, or a fresh one."""
+    """The scope's column B(x0 + j, y; p, q) under policy, or a fresh one
+    outside any scope.  The one place a _BetaColumn is built: the Gauss and
+    Kummer series and the Mathieu kernel expansions all read theirs here."""
     return _scoped("beta", (x0, y, pq, policy), lambda: _BetaColumn(x0, y, pq, policy))
 
 
@@ -316,7 +317,7 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
     integral): its coefficients are B(c-b+n, b; q, p) at ratio
     w = z/(z-1) < 1/2, its terms are positive for a > 0 instead of
     alternating, and the factor's rounding is charged.  The coefficients
-    come from shared-node tables grown in blocks of 32 entries; the
+    come from _shared_column, grown in blocks of 32 entries; the
     truncation tail is majorized by the envelope factor times the classical
     2F1 tail at the ratio, which bounds the extended coefficients term by
     term.  Converged means the tail plus the accumulated coefficient errors
@@ -347,7 +348,7 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
         rho = max(x, ratio_next)
         return major / (1.0 - rho) if rho < 1.0 else None
 
-    res = _beta_series(_BetaColumn(x0, y, pq_eff, policy), norm,
+    res = _beta_series(_shared_column(x0, y, pq_eff, policy), norm,
                        lambda n: (a + n) * x / (n + 1.0), majorant, n_cap)
     if z >= 0.0:
         return res
@@ -356,37 +357,6 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
     log_scale = -a * math.log1p(-z)
     return _scaled(res, log_scale, (1.5 * abs(log_scale) + abs(a * z)) * _EPS, policy.rel_tol,
                    f"extended_gauss_series underflows at z={z!r}")
-
-
-def kummer_coefficient_table(b: float, c: float, pq: PQParams, n_terms: int,
-                             policy: QuadPolicy = DEFAULT_POLICY) -> list[float]:
-    """Coefficients B(b+n, c-b; p, q) / B(b, c-b) for n = 0 .. n_terms-1.
-
-    The whole table comes from one extended_beta_table node set.  Computing
-    it once and reusing it across many series evaluations is the supported
-    bulk-evaluation route (nothing is cached between calls).
-    """
-    if not (c > b > 0.0):
-        raise DomainError(f"kummer_coefficient_table requires c > b > 0, got b={b}, c={c}")
-    norm = beta(b, c - b)
-    return [res.value / norm for res in extended_beta_table(b, c - b, pq, n_terms, policy)]
-
-
-def kummer_series_value(coeffs: list[float], z: float) -> float:
-    """Evaluate sum_n coeffs[n] z^n / n! from a precomputed coefficient table.
-
-    Intended for z >= 0 (all terms positive given positive coefficients); the
-    table must extend beyond the peak term index ~ z.
-    """
-    need = abs(z) + 10.0 * math.sqrt(abs(z) + 1.0) + 15.0
-    if len(coeffs) < need:
-        raise DomainError(f"coefficient table of length {len(coeffs)} too short for z={z}")
-    total = 0.0
-    zp = 1.0
-    for n, cn in enumerate(coeffs):
-        total += cn * zp
-        zp *= z / (n + 1.0)
-    return total
 
 
 def extended_kummer(b: float, c: float, z: float, pq: PQParams,
@@ -412,7 +382,7 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
         return abs(term) * rho / (1.0 - rho) if rho < 1.0 else None
 
     n_cap = int(w + 10.0 * math.sqrt(w + 1.0)) + 60
-    res = _beta_series(_BetaColumn(x0, y, pq_eff, policy), norm,
+    res = _beta_series(_shared_column(x0, y, pq_eff, policy), norm,
                        lambda n: w / (n + 1.0), majorant, n_cap)
     if z >= 0.0:
         return res

@@ -388,8 +388,6 @@ def integrate_log_kernels(lg: Callable[[float, float, float], float], lam: float
     return acc.results(n_evals)
 
 
-
-
 def integrate_to_infinity(lg: Callable[[float], float], lo: float,
                           policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Integral of exp(lg(x)) over (lo, inf), lg the log of a nonnegative, decaying f.

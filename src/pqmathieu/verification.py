@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .classical import HyperTriple, beta, gauss_2f1, gauss_2f1_raw, kummer_1f1, log_gamma, luke_bound_rhs
-from .extended import (PQParams, extended_beta, extended_gauss_integral,
-                       extended_gauss_series, extended_kummer, gauss_bound_rhs,
-                       kummer_coefficient_table, kummer_series_value)
+from .extended import (PQParams, _command_scope, extended_beta, extended_gauss_integral,
+                       extended_gauss_series, extended_kummer, gauss_bound_rhs)
 from .mathieu import (MathieuParams, SequenceSpec, bound_mathieu_alt_rhs, bound_mathieu_rhs,
                       closed_tail_2f1, counting_value, mathieu_alt_via_integral,
                       mathieu_alternating_direct, mathieu_direct, mathieu_via_integral)
@@ -187,21 +186,21 @@ def check_identities(policy: QuadPolicy = DEFAULT_POLICY) -> list[CheckRecord]:
 def laplace_identity_pair(lam: float, b: float, c: float, pq: PQParams, z: float,
                           r2: float, policy: QuadPolicy) -> tuple[float, float]:
     """Both sides of F_{p,q}(lam,b;c;-r^2/z) =
-    z^lam/Gamma(lam) * integral of e^(-z t) t^(lam-1) Phi_{p,q}(b;c;-r^2 t)."""
+    z^lam/Gamma(lam) * integral of e^(-z t) t^(lam-1) Phi_{p,q}(b;c;-r^2 t).
+
+    Every node reads Phi from extended_kummer.  One _command_scope spans the
+    integral, so all nodes sum their reflected series over one column
+    B(c-b+n, b; q, p), whether or not the caller runs inside a command."""
     lhs = extended_gauss_integral(HyperTriple(lam, b, c), -r2 / z, pq, policy).value
-    w_max = r2 * 745.0 / z
-    n_terms = int(w_max + 10.0 * math.sqrt(w_max + 1.0)) + 40
-    # transformed coefficient table: Phi_{p,q}(b;c;-w) = e^-w sum c_n w^n/n!
-    table = kummer_coefficient_table(c - b, c, pq.swapped(), n_terms, policy)
 
     def lf(t: float) -> float:
         if z * t > 745.0:
             return -math.inf
-        w = r2 * t
-        s = kummer_series_value(table, w)
-        return -z * t - w + math.log(s) + (lam - 1.0) * math.log(t)
+        phi = extended_kummer(b, c, -r2 * t, pq, policy).value
+        return -z * t + math.log(phi) + (lam - 1.0) * math.log(t)
 
-    integral = integrate_to_infinity(lf, 0.0, policy).value
+    with _command_scope():
+        integral = integrate_to_infinity(lf, 0.0, policy).value
     rhs = math.exp(lam * math.log(z) - log_gamma(lam)) * integral
     return lhs, rhs
 

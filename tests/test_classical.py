@@ -4,11 +4,9 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pqmathieu.classical import (HyperTriple, beta, gauss_2f1, gauss_2f1_raw, kummer_1f1,
-                                 log_gamma, luke_bound_rhs, pochhammer)
+                                 log_gamma, luke_bound_rhs)
 from pqmathieu.errors import DomainError
 from pqmathieu.quadrature import integrate_finite_xc
 
@@ -54,20 +52,6 @@ def test_beta_gamma_identity():
         lhs = beta(x, y) * math.exp(log_gamma(x + y))
         rhs = math.exp(log_gamma(x)) * math.exp(log_gamma(y))
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-def test_pochhammer():
-    assert pochhammer(3.7, 0) == 1.0
-    assert pochhammer(1.0, 5) == 120.0
-    assert pochhammer(0.5, 2) == 0.75
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(-5.0, 5.0), st.integers(0, 20))
-def test_pochhammer_recurrence(a, n):
-    assert pochhammer(a, n + 1) == pytest.approx(pochhammer(a, n) * (a + n), rel=1e-12, abs=1e-12)
 
 
 def test_hyper_triple_invariant():

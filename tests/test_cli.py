@@ -171,6 +171,25 @@ def test_usage_errors_exit_64():
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1
         assert f"parameter {name} is swept twice" in out.stderr
+    # a swept parameter no row reads would repeat the rows; a name that is
+    # no parameter, a third axis and an empty axis are malformed too
+    kummer = ("scan", "--target", "kummer", "--b", "1", "--c", "2", "--z", "1", "--q", "0")
+    u_int = ("scan", "--target", "u-integral", "--lambda", "1", "--eta", "1.5", "--r", "0.5")
+    for argv, text in (
+            ((*kummer, "--sweep", "p", "0.1", "0.2", "2", "--sweep", "eta", "1", "2", "2"),
+             "reads parameter 'eta'"),
+            ((*u_int, "--seq", "n", "--sweep", "k", "1", "2", "2"), "reads parameter 'k'"),
+            ((*u_int, "--seq", "n^k", "--k", "2", "--sweep", "scale", "1", "2", "2"),
+             "reads parameter 'scale'"),
+            ((*kummer, "--p", "0", "--sweep", "foo", "1", "2", "2"), "reads parameter 'foo'"),
+            ((*kummer, "--sweep", "p", "0.1", "0.2", "2", "--sweep", "b", "1", "2", "2",
+              "--sweep", "z", "1", "2", "2"), "got 3 --sweep"),
+            ((*kummer, "--sweep", "p", "0.1", "0.2", "0"), "--sweep p STEPS must be at least 1")):
+        out = run_cli(*argv)
+        assert out.returncode == 64, argv
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert text in out.stderr
 
 
 def test_help_exits_0():
@@ -340,6 +359,25 @@ def test_shared_column_leaves_every_record_unchanged(capsys):
                         *MATHIEU)
         assert [_printed(rec) for rec in scan[i:i + 2]] == [_printed(rec) for rec in both]
         assert both == alone
+
+
+def test_series_scan_rows_print_their_own_eval(capsys):
+    # every Kummer row reads the reflected column B(c-b+n, b; q, p); the
+    # Gauss scan crosses z = 0, where its column key changes to B(b+n, c-b; p, q)
+    from pqmathieu.cli import main
+
+    pq = ("--p", "0.5", "--q", "0.5", "--output", "json")
+    for target, sweep, rows in (
+            (("--target", "kummer", "--b", "1", "--c", "2", *pq), ("-30", "-1", "20"), 20),
+            (("--target", "gauss", "--method", "direct", "--a", "1.5", "--b", "0.8",
+              "--c", "2", *pq), ("-0.9", "0.9", "19"), 19)):
+        assert main(["scan", *target, "--sweep", "z", *sweep]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == rows
+        for line in lines:
+            # --z=VALUE: argparse takes a value like -5.5e-17 for a flag
+            assert main(["eval", *target, f"--z={json.loads(line)['z']!r}"]) == 0
+            assert capsys.readouterr().out == line + "\n"
 
 
 BOUND = ("--target", "bound", "--lambda", "0.7", "--b", "0.8", "--c", "2.1", "--p", "0.4",

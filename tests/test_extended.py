@@ -10,8 +10,7 @@ from pqmathieu.classical import HyperTriple, beta, gauss_2f1, kummer_1f1
 from pqmathieu.errors import DomainError
 from pqmathieu.extended import (PQParams, extended_beta, extended_beta_table,
                                 extended_gauss_fan, extended_gauss_integral,
-                                extended_gauss_series, extended_kummer, gauss_bound_rhs,
-                                kummer_coefficient_table, kummer_series_value)
+                                extended_gauss_series, extended_kummer, gauss_bound_rhs)
 from pqmathieu.mathieu import _inner_policy
 from pqmathieu.verification import laplace_identity_pair
 from pqmathieu.quadrature import DEFAULT_POLICY, QuadPolicy
@@ -367,15 +366,26 @@ def test_reflected_series_of_zero_is_domain_error():
         extended_kummer(1.0, 2.0, -50.0, pq)
 
 
-def test_kummer_table_matches_direct_evaluation():
-    b, c = 0.8, 2.0
-    pq = PQParams(0.3, 0.7)
-    direct = extended_kummer(b, c, -20.0, pq).value
-    table = kummer_coefficient_table(c - b, c, pq.swapped(), 120)
-    via_table = math.exp(-20.0 + math.log(kummer_series_value(table, 20.0)))
-    assert via_table == pytest.approx(direct, rel=1e-11)
-    with pytest.raises(DomainError):
-        kummer_series_value(table, 400.0)
+def test_gauss_and_kummer_series_read_one_shared_column(monkeypatch):
+    # at z < 0 both series sum over B(c-b+n, b; q, p): inside one command
+    # scope they read one column, and each record is the one a call outside
+    # any scope returns
+    import pqmathieu.extended as extended
+    a, b, c, pq = 1.5, 0.8, 2.0, PQParams(0.3, 0.7)
+    trip = HyperTriple(a, b, c)
+    alone = [extended_kummer(b, c, -20.0, pq), extended_gauss_series(trip, -0.6, pq)]
+    built = []
+    column = extended._BetaColumn
+
+    def counting(*args):
+        built.append(args)
+        return column(*args)
+
+    monkeypatch.setattr(extended, "_BetaColumn", counting)
+    with extended._command_scope():
+        shared = [extended_kummer(b, c, -20.0, pq), extended_gauss_series(trip, -0.6, pq)]
+    assert built == [(c - b, b, pq.swapped(), DEFAULT_POLICY)]
+    assert shared == alone
 
 
 def test_gauss_bound_rhs():
