@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 
 from .classical import HyperTriple
@@ -57,8 +58,18 @@ class _UsageError(Exception):
     """A command line argparse accepts but a command cannot parse."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every finite negative number repr()
+    prints, -1e-3 and -1.1102230246251565e-16 as well as -0.5, as a value and
+    not as a flag (argparse knows only -5 and -0.5); subcommands inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pqmathieu",
         description="evaluate (p,q)-extended special functions and Mathieu-type "
                     "series, verify their identities and bounds, sweep parameters")

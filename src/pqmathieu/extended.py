@@ -7,15 +7,17 @@ coefficients are extended Beta values; the series path is the verification
 oracle.  At z < 0 both series are summed in reflected form (t -> 1-t in the
 Euler integral), over B(c-b+n, b; q, p) with positive terms: the Gauss
 series in Pfaff form at ratio z/(z-1) < 1/2, the Kummer series at ratio -z;
-_scaled applies their factor (1-z)^(-a) or e^z.  Kernel values
-F_{p,q}(a, b; c; -x) at many x in [0, 1] share one node fan
-(extended_gauss_fan).  Every series coefficient column B(x0+j, y; p, q),
-j = 0, 1, ..., comes from _shared_column and grows in blocks of 32 entries,
-each from one shared tanh-sinh node set (extended_beta_table), as its series
-advances.  Inside one _command_scope (the CLI opens one per command) every
-Gauss or Kummer series and every Mathieu kernel expansion with the same
-column key (x0, y, (p, q), policy) reads one shared column, and the bound
-reuses its four coefficient lists (_scoped holds the last of each kind).
+_scaled applies their factor (1-z)^(-a) or e^z.  The damped weight
+t^(b-1) (1-t)^(c-b-1) e^(-p/t - q/(1-t)) of these integrals is
+_beta_log_weight; the direct Mathieu route sums its head kernels
+F_{p,q}(a, b; c; -x_n) against it as one integrand.  Every series
+coefficient column B(x0+j, y; p, q), j = 0, 1, ..., comes from
+_shared_column and grows in blocks of 32 entries, each from one shared
+tanh-sinh node set (extended_beta_table), as its series advances.  Inside
+one _command_scope (the CLI opens one per command) every Gauss or Kummer
+series and every Mathieu kernel expansion with the same column key
+(x0, y, (p, q), policy) reads one shared column, and the bound reuses its
+four coefficient lists (_scoped holds the last of each kind).
 The Mathieu expansions read B(c-b+m, b; q, p), which depends on neither r
 nor the sequence; a Gauss or Kummer scan over z reads one column for all
 its rows on one side of z = 0.  Outside a scope each call builds its own,
@@ -37,15 +39,13 @@ from typing import Callable
 
 from .classical import HyperTriple, beta, gauss_2f1
 from .errors import DomainError
-from .quadrature import (DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_log_kernels,
-                         integrate_log_moments)
+from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_log_moments
 from .results import EvalResult
 
 __all__ = [
     "PQParams",
     "extended_beta",
     "extended_beta_table",
-    "extended_gauss_fan",
     "extended_gauss_integral",
     "extended_gauss_series",
     "extended_kummer",
@@ -211,24 +211,6 @@ def extended_gauss_integral(triple: HyperTriple, z: float, pq: PQParams,
     res = integrate_finite_xc(_beta_log_weight(b, c - b, pq, a, z), 0.0, 1.0, policy)
     norm = beta(b, c - b)
     return EvalResult(res.value / norm, res.err_est / norm, res.n_work, res.converged)
-
-
-def extended_gauss_fan(triple: HyperTriple, xs: list[float], pq: PQParams,
-                       policy: QuadPolicy = DEFAULT_POLICY) -> list[EvalResult]:
-    """F_{p,q}(a, b; c; -x) for every x in xs, a > 0 and 0 <= x <= 1, by the
-    Euler-type integral of extended_gauss_integral on one shared node fan.
-
-    The damped weight t^(b-1) (1-t)^(c-b-1) e^(-p/t - q/(1-t)) is evaluated
-    once per node and only the factor (1 + x t)^(-a) once per entry.  Each
-    entry stops where its own extended_gauss_integral would and carries its
-    own error estimate and converged flag; n_work is the node count of the
-    whole fan, which spends at most policy.max_evals (see
-    quadrature.integrate_log_kernels).
-    """
-    a, b, c = triple.a, triple.b, triple.c
-    norm = beta(b, c - b)
-    return [EvalResult(res.value / norm, res.err_est / norm, res.n_work, res.converged)
-            for res in integrate_log_kernels(_beta_log_weight(b, c - b, pq), a, xs, policy)]
 
 
 def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],

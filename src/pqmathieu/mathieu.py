@@ -5,9 +5,8 @@ over a monotone divergent sequence a_n, plus the alternating variant.  Three
 evaluation routes are provided and cross-checked:
 
 * direct summation up to a fixed tail start, completed by one analytic tail;
-  the head kernels all come from one shared tanh-sinh node fan
-  (extended_gauss_fan), since their Euler integrands differ only by the
-  factor (1 + r^2 t/a_n)^-lam,
+  the head's Euler integrands differ only by the factor (1 + r^2 t/a_n)^-lam,
+  so the head is one integral of their weighted sum (_extended_head),
 * the closed integral representation with the counting weight, or its
   parity for the alternating series (integrated term by term and
   Abel-summed, so the weight's jumps never meet a quadrature node),
@@ -56,7 +55,7 @@ from typing import Callable
 from .classical import HyperTriple, gauss_2f1_raw
 from .classical import beta as beta_fn
 from .errors import DivergenceError, DomainError
-from .extended import PQParams, _scoped, _shared_column, extended_gauss_fan
+from .extended import PQParams, _beta_log_weight, _scoped, _shared_column
 from .extended import extended_beta  # noqa: F401  (traced by bench/worker.py)
 from .extended import extended_gauss_integral  # noqa: F401  (traced by bench/worker.py)
 from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc
@@ -472,6 +471,41 @@ def _inner_policy(policy: QuadPolicy) -> QuadPolicy:
 # direct summation
 
 
+def _extended_head(params: MathieuParams, ans: list[float], sws: list[float], kappa0: float,
+                   policy: QuadPolicy) -> tuple[float, float]:
+    """sum_n s_n w_n F_{p,q}(lam, b; c; -r^2/a_n) over the head and its error
+    bound, as one Euler integral (the paper's Fubini step): (1/B(b, c-b))
+    int_0^1 w(t) K(t) dt, w the damped Beta weight and K(t) =
+    sum_n s_n w_n (1 + x_n t)^-lam, x_n = r^2/a_n.  Each term of K is
+    +-(a_n + r^2 t)^-lam (a_n + r^2)^-eta, which decreases in n, so K > 0
+    for the alternating series too (Leibniz) and log w + log K is one integrand.
+
+    K's rounding is charged apart.  Its fsum adds to the exact sum of its
+    rounded terms w_n f_n(t), f_n(t) = exp(-lam log1p(x_n t)) <= 1: log1p
+    and x_n t round the argument, at most lam log 2, by about 1.4 lam ulps,
+    the exp and the products add 4, and w_n carries rho_n = |lam log a_n| +
+    |eta log(a_n + r^2)| + 3 of its own.  So K is off by at most
+    eps sum_n |w_n| (1.4 lam + 4 + rho_n) f_n(t) at every node, which
+    against w/B integrates to at most eps sum_n |w_n| (1.4 lam + 4 + rho_n)
+    kappa0, kappa0 >= (1/B) int w = B(c-b, b; q, p)/B(b, c-b).  A node
+    whose rounded K is not positive counts as 0, within that charge.
+    """
+    lam, eta, r2 = params.lam, params.eta, params.r ** 2
+    terms = [(sw, r2 / an) for sw, an in zip(sws, ans)]
+    lg_w = _beta_log_weight(params.b, params.c - params.b, params.pq)
+    log, log1p, exp, fsum = math.log, math.log1p, math.exp, math.fsum
+
+    def lg(t: float, dlo: float, dhi: float) -> float:
+        k = fsum([sw * exp(-lam * log1p(x * t)) for sw, x in terms])
+        return lg_w(t, dlo, dhi) + log(k) if k > 0.0 else -math.inf
+
+    res = integrate_finite_xc(lg, 0.0, 1.0, policy)
+    norm = beta_fn(params.b, params.c - params.b)
+    charge = math.fsum(abs(sw) * (1.4 * lam + 7.0 + abs(lam * math.log(an))
+                                  + abs(eta * math.log(an + r2))) for sw, an in zip(sws, ans))
+    return res.value / norm, res.err_est / norm + _EPS * kappa0 * charge
+
+
 def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool,
                     kind: str) -> EvalResult:
     seq = params.seq
@@ -481,21 +515,21 @@ def _mathieu_engine(params: MathieuParams, policy: QuadPolicy, alternating: bool
     # a divergent tail raises here, before any head quadrature
     sums = _PowerSums(seq, r2, _plus((lam, 0.0), eta), a_start, alternating)
     ans = [seq.value(n) for n in range(1, a_start)]
-    if kind == "classical":
-        heads = [gauss_2f1_raw(lam, params.b, params.c, -r2 / an, inner) for an in ans]
-    else:
-        heads = extended_gauss_fan(params.triple, [r2 / an for an in ans], params.pq, inner)
-    terms = []
-    err = 0.0
-    for n, an, fres in zip(range(1, a_start), ans, heads):
-        w = math.exp(-lam * math.log(an)) * (an + r2) ** (-eta)
-        sign = 1.0 if (not alternating or n % 2 == 1) else -1.0
-        terms.append(sign * fres.value * w)
-        err += fres.err_est * w
+    # the head's signed weights s_n w_n, w_n = a_n^-lam (a_n + r^2)^-eta
+    sws = [(-1.0 if alternating and n % 2 == 0 else 1.0)
+           * math.exp(-lam * math.log(an)) * (an + r2) ** (-eta) for n, an in enumerate(ans, 1)]
     coeffs = _KernelCoeffs(lam, params.b, params.c, params.pq, inner, kind)
+    if kind == "classical":
+        kernels = [gauss_2f1_raw(lam, params.b, params.c, -r2 / an, inner) for an in ans]
+        head = math.fsum(sw * f.value for sw, f in zip(sws, kernels))
+        err = sum(abs(sw) * f.err_est for sw, f in zip(sws, kernels))
+    else:
+        coeffs.grow(1)  # kappa_0, the first entry of the tail's column
+        head, err = _extended_head(params, ans, sws, coeffs.values[0] + coeffs.err_values[0],
+                                   inner)
     (tail, tail_err, _), = _power_tail([(coeffs, 0)], r2, r2 / (seq.value(a_start) + r2),
                                        lambda m, _: sums(m))
-    value = math.fsum(terms) + tail
+    value = head + tail
     err += tail_err
     tol = max(policy.abs_tol, policy.rel_tol * abs(value))
     return EvalResult(value, err, a_start - 1, err <= tol)
@@ -506,13 +540,12 @@ def mathieu_direct(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY,
     """Sum the Mathieu-type series directly.
 
     The terms before a fixed tail start A (r^2/(a_A+r^2) <= 1/9, A >= 33)
-    go through the kernel's Euler integral, all A-1 of them on one shared
-    node fan (extended_gauss_fan: one weight evaluation per node, one
-    quadrature's budget, each kernel stopping where its own quadrature
-    would); the rest is completed analytically with the transformed kernel
-    expansion, every term positive.  kernel="classical" replaces the
-    extended kernel by the classical Gauss series (the p = q = 0
-    counterpart).
+    go through the kernel's Euler integral, all A-1 of them as one
+    quadrature of their weighted sum (_extended_head: the kernels' Euler
+    integrands exchanged with the sum, one quadrature's budget); the rest
+    is completed analytically with the transformed kernel expansion, every
+    term positive.  kernel="classical" replaces the extended kernel by the
+    classical Gauss series (the p = q = 0 counterpart).
     """
     return _mathieu_engine(params, policy, alternating=False, kind=kernel)
 

@@ -14,12 +14,12 @@ finite engine; the Jacobian enters as -2 log(1-u), and its singularity at
 u = 1 is absorbed by the same endpoint clustering.
 
 One node sweep (_fan) and one accumulator (_Rows) serve every entry point.
-_Rows sums damped rows exp(lg) * r_j on one fan, evaluating the weight
-exp(lg) once per node: a table of moments, r_j = (x - lo)**j
-(integrate_log_moments, whose one-entry table is integrate_finite_xc and,
-after the fold, integrate_to_infinity), or a family of kernels,
-r_j = (1 + x_j x)**-lam on (0, 1) (integrate_log_kernels).  The stop rules
-are shared (_verdict).
+_Rows sums one row kind, a table of moments exp(lg) * (x - lo)**j on one
+fan, evaluating the weight exp(lg) once per node (integrate_log_moments,
+whose one-entry table is integrate_finite_xc and, after the fold,
+integrate_to_infinity); the stop rules are _verdict's.  A family of
+integrands that differ by a factor, such as the head kernels of the direct
+Mathieu route, is summed inside one integrand instead.
 
 All entry points are pure functions of their arguments; there is no global
 mutable state, so concurrent use from multiple threads is safe.
@@ -41,7 +41,6 @@ __all__ = [
     "QuadPolicy",
     "DEFAULT_POLICY",
     "integrate_finite_xc",
-    "integrate_log_kernels",
     "integrate_log_moments",
     "integrate_to_infinity",
 ]
@@ -172,43 +171,30 @@ def _fan(acc, lo: float, hi: float, max_refinements: int, max_evals: int) -> int
 
 
 class _Rows:
-    """Trapezoid sums of the rows exp(lg(x, dlo, dhi)) * r_j(x) over one fan.
+    """Trapezoid sums of the rows exp(lg(x, dlo, dhi)) * (x - lo)**j, j = 0 .. n-1,
+    over one fan.
 
     Each node evaluates the damped weight c0 = w exp(lg) once, then the
-    entries of the rows still open.  Two row kinds:
-
-    - powers (lam None): r_j = (x - lo)**j, j = 0 .. n-1, by repeated
-      multiplication of the exact offset dlo.  The newest node of a side
-      has the extreme offset of all nodes summed so far, so the ratio of an
-      entry to its running sum is monotone in j: the first and last entries
-      decide whether a node is negligible for every entry.  Every entry stays
-      open until all have converged or stalled, and all report that level.
-    - kernels: r_j = (1 + x_j x)**-lam on (0, 1), x_j in [0, 1], lam > 0.
-      Every factor lies in [(1 + x_max)**-lam, 1], x_max the largest open
-      x_j (so at or above 2**-lam), and falls with x, so the newest node
-      toward 1 carries the smallest factor summed so far.  The weight alone
-      closes a side: at the plain threshold toward 1, at (1 + x_max)**-lam
-      times it toward 0.  A row freezes at the first level at which its own
-      verdict stops, as its own quadrature would.
+    powers by repeated multiplication of the exact offset dlo.  The newest
+    node of a side has the extreme offset of all nodes summed so far, so the
+    ratio of an entry to its running sum is monotone in j: the first and
+    last entries decide whether a node is negligible for every entry.  Every
+    entry stays open until all have converged or stalled, and all report
+    that level.
 
     Every contribution is nonnegative, so a sum is its own l1 norm.  The
     error floor charges 4 ulps of summation plus the rounding of exp(log f),
     |log f| + 2 ulps of each contribution, and j more for the power products.
     """
 
-    def __init__(self, lg: Callable[[float, float, float], float], n: int, policy: QuadPolicy,
-                 lam: float | None = None, xs: list[float] | None = None):
-        self.lg, self.policy, self.lam = lg, policy, lam
+    def __init__(self, lg: Callable[[float, float, float], float], n: int, policy: QuadPolicy):
+        self.lg, self.policy = lg, policy
         self.n = n
-        self.open = list(range(n))          # entries not yet frozen
-        self.xs = list(xs or ())            # kernels: their x_j
         # rounding charge besides |log f|: the exp and the weight product, and
         # the j products of a power
-        self.ulps = [2.0] * n if lam else [j + 2.0 for j in range(n)]
-        if lam:
-            self._scale_thresholds()
-        self.rows: list[list[float]] = []   # per node: contributions of the open entries
-        self.logs: list = []                # per node: |log f|, per open entry for kernels
+        self.ulps = [j + 2.0 for j in range(n)]
+        self.rows: list[list[float]] = []   # per node: its contributions
+        self.logs: list[float] = []         # per node: |log f|
         self.run0 = self.run1 = 0.0         # running sums of the weight and the last power
         # per side, the newest row and delta / w: a forced closure strands at
         # most ~16x row * delta / w of mass (singularities up to ~15/16)
@@ -220,11 +206,6 @@ class _Rows:
         self.est = [math.inf] * n
         self.converged = [False] * n
 
-    def _scale_thresholds(self) -> None:
-        # kernels, per side (toward 1, toward 0, centre) for the open rows
-        low = _NEGLIGIBLE * (1.0 + max(self.xs, default=0.0)) ** -self.lam
-        self.thresholds = (_NEGLIGIBLE, low, low)
-
     def node(self, x: float, dlo: float, dhi: float, w: float, delta: float, side: int) -> bool:
         try:
             lg = self.lg(x, dlo, dhi)
@@ -235,31 +216,22 @@ class _Rows:
             self.last[side] = None
             return True
         self.run0 += c0
-        if self.lam:
-            lam, log1p, exp = self.lam, math.log1p, math.exp
-            logs = [lam * log1p(a * x) for a in self.xs]
-            row = [c0 * exp(-v) for v in logs]
-            self.logs.append([abs(lg - v) for v in logs])
-            negligible = c0 <= self.thresholds[side] * self.run0
-        else:
-            row = list(accumulate(repeat(dlo, self.n - 1), mul, initial=c0))
-            self.logs.append(abs(lg))
-            self.run1 += row[-1]
-            negligible = c0 <= _NEGLIGIBLE * self.run0 and row[-1] <= _NEGLIGIBLE * self.run1
+        row = list(accumulate(repeat(dlo, self.n - 1), mul, initial=c0))
         if not math.isfinite(row[-1]):
             raise IntegrandError(f"non-finite integrand contribution at x={x!r}")
+        self.logs.append(abs(lg))
+        self.run1 += row[-1]
         self.rows.append(row)
         self.last[side] = (row, delta / w)
-        return negligible
+        return c0 <= _NEGLIGIBLE * self.run0 and row[-1] <= _NEGLIGIBLE * self.run1
 
     def forced(self, side: int) -> None:
         if self.last[side] is not None:
             self.stranded.append(self.last[side])
 
     def settle(self, level: int, h: float) -> bool:
-        n = len(self.open)
+        n, logs = self.n, self.logs
         cols = list(zip(*self.rows)) or [()] * n
-        log_cols = (list(zip(*self.logs)) or [()] * n) if self.lam else [self.logs] * n
         if self.stranded:
             defects = [16.0 * max(vs) for vs in zip(*(
                 [v * scale for v in row] for row, scale in self.stranded))]
@@ -272,14 +244,12 @@ class _Rows:
         rel_tol, abs_tol = self.policy.rel_tol, self.policy.abs_tol
         values, rounding, defect_prev = self.values, self.rounding, self.defect_prev
         est, converged, ulps = self.est, self.converged, self.ulps
-        still_open = []
-        for i, j in enumerate(self.open):
-            col = cols[i]
+        done = True
+        for j, col in enumerate(cols):
             part = math.fsum(col)
             old = values[j]
             new = values[j] = keep * old + h * part
-            rounding[j] = keep * rounding[j] + h * (
-                sum(map(mul, col, log_cols[i])) + ulps[j] * part)
+            rounding[j] = keep * rounding[j] + h * (sum(map(mul, col, logs)) + ulps[j] * part)
             stop = False
             if level:
                 err = abs(new - old)
@@ -291,18 +261,11 @@ class _Rows:
                 resolved = 2.0 * max(err, est[j]) <= new
                 tol = max(abs_tol, rel_tol * new) if resolved else rel_tol * new
                 est[j], stop, converged[j] = _verdict(
-                    level, err, _EPS * (4.0 * new + rounding[j]), defects[i],
+                    level, err, _EPS * (4.0 * new + rounding[j]), defects[j],
                     defect_prev[j], tol)
-            defect_prev[j] = defects[i]
-            if not stop:
-                still_open.append(i)
-        if self.lam:
-            self.open = [self.open[i] for i in still_open]
-            self.xs = [self.xs[i] for i in still_open]
-            self._scale_thresholds()
-        elif not still_open:
-            self.open = []
-        return not self.open
+            defect_prev[j] = defects[j]
+            done = done and stop
+        return done
 
     def results(self, n_evals: int) -> list[EvalResult]:
         return [EvalResult(v, e, n_evals, c)
@@ -356,35 +319,6 @@ def integrate_log_moments(lg: Callable[[float, float, float], float], lo: float,
         raise DomainError(f"integrate_log_moments needs n >= 1, got {n}")
     acc = _Rows(lg, n, policy)
     n_evals = _fan(acc, lo, hi, policy.max_refinements, n * policy.max_evals)
-    return acc.results(n_evals)
-
-
-def integrate_log_kernels(lg: Callable[[float, float, float], float], lam: float,
-                          xs: list[float], policy: QuadPolicy = DEFAULT_POLICY) -> list[EvalResult]:
-    """Integrals of exp(lg(x, x, 1 - x)) * (1 + x_n x)**-lam over (0, 1), one per x_n in xs.
-
-    One node fan serves all entries: lg is evaluated once per node, in log
-    space from the exact endpoint distances as in integrate_finite_xc, and
-    the factor of entry n only while that entry is still refining.  Each
-    entry stops at the first level at which it would stop as its own
-    quadrature, and reports that level's value, error estimate and converged
-    flag; every entry's n_work is the node count of the shared fan, which
-    spends at most policy.max_evals node evaluations, one quadrature's
-    budget.  lam > 0 and 0 <= x_n <= 1 keep every factor in [2**-lam, 1],
-    which lets the weight alone decide where a side of the fan closes, at a
-    threshold scaled by the smallest factor on the side toward 0.
-
-    The error floor charges the rounding of exp(lg - lam*log1p(x_n x)),
-    eps * sum w*f*(|log f| + 2), on top of the 4-ulp summation floor.
-    """
-    if not xs:
-        raise DomainError("integrate_log_kernels needs at least one x_n")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"integrate_log_kernels needs lam > 0, got {lam}")
-    if not all(0.0 <= x <= 1.0 for x in xs):
-        raise DomainError("integrate_log_kernels needs every x_n in [0, 1]")
-    acc = _Rows(lg, len(xs), policy, lam, xs)
-    n_evals = _fan(acc, 0.0, 1.0, policy.max_refinements, policy.max_evals)
     return acc.results(n_evals)
 
 

@@ -192,6 +192,42 @@ def test_usage_errors_exit_64():
         assert text in out.stderr
 
 
+def test_negative_values_with_an_exponent_are_values(capsys):
+    # argparse alone reads -0.5 as a value but -1e-3 as a flag; every finite
+    # negative number repr() prints is a value, as an option and as a --sweep bound
+    from pqmathieu.cli import main
+    kummer = ["--target", "kummer", "--b", "1", "--c", "2", "--p", "0.5", "--q", "0.5"]
+    assert main(["eval", *kummer, "--z=-1e-3"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["eval", *kummer, "--z", "-1e-3"]) == 0
+    assert capsys.readouterr().out == joined
+    assert main(["scan", *kummer, "--sweep", "z", "-1e-3", "1", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    # a z-scan row at -2^-53 replays with a space before its value
+    gauss = ["--target", "gauss", "--method", "direct", "--a", "1.5", "--b", "0.8", "--c", "2",
+             "--p", "0.5", "--q", "0.5"]
+    assert main(["scan", *gauss, "--sweep", "z", "-0.9", "0.9", "19"]) == 0
+    row, = [line for line in capsys.readouterr().out.splitlines()
+            if " z=-1.1102230246251565e-16 " in line]
+    assert main(["eval", *gauss, "--z", "-1.1102230246251565e-16"]) == 0
+    assert capsys.readouterr().out == row + "\n"
+    # a flag is still a flag
+    for argv in (["eval", *kummer, "--z", "-1", "--bogus", "1"], ["eval", *kummer, "--z", "-x"]):
+        assert main(argv) == 64
+        assert capsys.readouterr().out == ""
+
+
+def test_large_damping_alternating_direct_route_converges(capsys):
+    # at q = 150 the alternating head cancels; summed as one integrand its
+    # error bound stays at the integral route's, and both records converge
+    recs = _records(capsys, "eval", "--target", "mathieu-alt", "--method", "both",
+                    "--lambda", "0.15", "--eta", "0.1", "--r", "0.8", "--b", "1", "--c", "2",
+                    "--p", "0", "--q", "150", "--seq", "n", "--output", "json")
+    direct, integral = recs
+    assert direct["converged"] and integral["converged"]
+    assert abs(direct["value"] - integral["value"]) <= direct["err_est"] + integral["err_est"]
+
+
 def test_help_exits_0():
     out = run_cli("eval", "--help")
     assert out.returncode == 0
@@ -375,7 +411,6 @@ def test_series_scan_rows_print_their_own_eval(capsys):
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == rows
         for line in lines:
-            # --z=VALUE: argparse takes a value like -5.5e-17 for a flag
             assert main(["eval", *target, f"--z={json.loads(line)['z']!r}"]) == 0
             assert capsys.readouterr().out == line + "\n"
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from pqmathieu.classical import HyperTriple, beta, gauss_2f1, kummer_1f1
 from pqmathieu.errors import DomainError
 from pqmathieu.extended import (PQParams, extended_beta, extended_beta_table,
-                                extended_gauss_fan, extended_gauss_integral,
-                                extended_gauss_series, extended_kummer, gauss_bound_rhs)
-from pqmathieu.mathieu import _inner_policy
+                                extended_gauss_integral, extended_gauss_series, extended_kummer,
+                                gauss_bound_rhs)
 from pqmathieu.verification import laplace_identity_pair
 from pqmathieu.quadrature import DEFAULT_POLICY, QuadPolicy
 
@@ -106,43 +105,6 @@ def test_starved_beta_table_reports_instead_of_raising(x0, y, p, q, n):
         assert entry.n_work == table[0].n_work
         if entry.converged:
             assert entry.err_est <= policy.rel_tol * entry.value
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(0.3, 2.0, exclude_min=True), st.floats(0.3, 1.5), st.floats(0.3, 1.5),
-       st.floats(0.0, 150.0), st.floats(0.0, 150.0), st.floats(0.0, 1.0, exclude_min=True),
-       st.sampled_from((1.0, 1.5, 2.0)))
-def test_gauss_fan_matches_independent_integrals(lam, b, cb, p, q, r2, k):
-    # the 32 head kernels of the direct Mathieu route at x_n = r^2/a_n,
-    # a_n = n^k, r^2 <= a_1, against one extended_gauss_integral each
-    triple, pq, policy = HyperTriple(lam, b, b + cb), PQParams(p, q), _inner_policy(DEFAULT_POLICY)
-    xs = [r2 / n ** k for n in range(1, 33)]
-    for x, row in zip(xs, extended_gauss_fan(triple, xs, pq, policy), strict=True):
-        ref = extended_gauss_integral(triple, -x, pq, policy)
-        assert abs(row.value - ref.value) <= row.err_est + ref.err_est \
-            + 4.0 * math.ulp(ref.value), x
-
-
-@pytest.mark.parametrize("max_evals", [16, 60, 104, 200, 5000])
-def test_gauss_fan_spends_one_quadrature_budget(max_evals):
-    # one fan for all 32 entries gets the budget of one quadrature, not 32
-    xs = [0.5 / n for n in range(1, 33)]
-    fan = extended_gauss_fan(HyperTriple(1.0, 1.0, 2.0), xs, PQParams(0.5, 0.5),
-                             QuadPolicy(max_evals=max_evals))
-    assert all(row.n_work == fan[0].n_work for row in fan)
-    assert fan[0].n_work <= max_evals
-
-
-def test_gauss_fan_converges_within_the_budget_its_kernels_need():
-    # a starved mathieu-eval request (--max-evals 97): every head kernel
-    # converges alone within 97 nodes, so the fan must too.  A side closed
-    # at 2^-lam times the threshold on both sides ran past 97 nodes
-    triple = HyperTriple(1.8834944140171428, 0.9705929668653623, 2.340219065330597)
-    pq = PQParams(1.3025173345360832, 0.9035838478562535)
-    policy = _inner_policy(QuadPolicy(max_evals=97))
-    xs = [0.4049756097349781 ** 2 / n for n in range(1, 33)]
-    assert all(extended_gauss_integral(triple, -x, pq, policy).converged for x in xs)
-    assert all(row.converged for row in extended_gauss_fan(triple, xs, pq, policy))
 
 
 def test_starved_table_budget_scales_with_entries():

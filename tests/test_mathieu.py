@@ -204,6 +204,31 @@ def test_integral_routes_agree_with_direct(k, lam, s, b, cb, r2, p, q, alternati
     assert abs(direct.value - integral.value) <= direct.err_est + integral.err_est
 
 
+_DAMPING = st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(30.0, 250.0))
+_LOG_UNIFORM = st.floats(math.log(0.05), math.log(4.0)).map(math.exp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DAMPING, _DAMPING, _LOG_UNIFORM, _LOG_UNIFORM, st.sampled_from((0.7, 1.0, 1.5, 2.0)),
+       st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.floats(0.01, 1.0), st.booleans())
+@example(0.0, 150.0, 0.15, 0.1, 1.0, 1.0, 1.0, 0.64, True)  # 2.9e-80 err_est on the fan's head
+def test_direct_route_converges_where_the_integral_route_does(p, q, lam, eta, k, b, cb, r2,
+                                                              alternating):
+    # at large damping the alternating head cancels 15-30x; summed as one
+    # integrand (K > 0 by Leibniz) it keeps the integral route's accuracy
+    params = MathieuParams(lam, eta, math.sqrt(r2), b, b + cb, PQParams(p, q),
+                           SequenceSpec.power(1.0, k))
+    routes = ((mathieu_alternating_direct, mathieu_alt_via_integral) if alternating
+              else (mathieu_direct, mathieu_via_integral))
+    try:
+        direct, integral = (route(params) for route in routes)
+    except DivergenceError:
+        assume(False)
+    assert direct.converged or not integral.converged
+    assert abs(direct.value - integral.value) <= direct.err_est + integral.err_est \
+        + 4.0 * math.ulp(integral.value)
+
+
 def test_cahen_count_oracle():
     params = MathieuParams(1.0, 1.0, 1.0, 1.0, 2.0, PQ0, SEQ_N)
     res = cahen_integral(2.0, 1.0, params, False)
@@ -254,6 +279,38 @@ def _reference(lam, eta, r2, b, c, k, alternating=True):
                 return head + tail
             kappa *= (lam + m) / (m + 1) * (c - b + m) / (c + m)
             m += 1
+
+
+@pytest.mark.parametrize("lam,eta,r,b,c,alternating", [
+    (0.06451460593787688, 0.2086363501003662, 0.9021278379779555, 1.4731825271965153,
+     2.8697917992175253, True),
+    (0.203024167363952, 0.07986710652914893, 0.5482286014309734, 1.1744090267939236,
+     3.037315823452093, True),
+    (1.6289026547601888, 0.07009895403978106, 0.8822963748968236, 1.9136875132539917,
+     2.5081990974857176, False)])
+def test_extended_head_bound_covers_the_rounding_of_its_kernel_sum(lam, eta, r, b, c,
+                                                                   alternating):
+    # the head as one integrand, sum_n s_n w_n 2F1(lam, b; c; -r^2/a_n) at
+    # p = q = 0, against 40 digits: the quadrature's floor does not see the
+    # rounding of K = sum_n s_n w_n (1 + x_n t)^-lam, and at these points the
+    # head misses the reference by 1.02-1.42x its err_est without K's charge
+    params = MathieuParams(lam, eta, r, b, c, PQ0, SEQ_N)
+    head = mathieu._extended_head
+    calls = []
+
+    def recording(params, ans, sws, kappa0, policy):
+        calls.append((ans, head(params, ans, sws, kappa0, policy)))
+        return calls[-1][1]
+
+    with mock.patch.object(mathieu, "_extended_head", recording):
+        (mathieu_alternating_direct if alternating else mathieu_direct)(params)
+    (ans, (value, err)), = calls
+    with mp.workdps(40):
+        r2 = mp.mpf(params.r ** 2)
+        ref = mp.fsum((-1 if alternating and n % 2 == 0 else 1) * mp.mpf(an) ** -lam
+                      * (an + r2) ** -eta * mp.hyp2f1(lam, b, c, -r2 / an)
+                      for n, an in enumerate(ans, 1))
+    assert abs(value - ref) <= err
 
 
 @pytest.mark.parametrize("lam,eta,k", [(0.7, 0.9, 1.0), (0.7, 0.9, 2.0), (0.3, 0.3, 1.0),

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from pqmathieu.errors import DomainError, IntegrandError
 from pqmathieu.quadrature import (DEFAULT_POLICY, QuadPolicy, integrate_finite_xc,
-                                  integrate_log_kernels, integrate_log_moments,
-                                  integrate_to_infinity)
+                                  integrate_log_moments, integrate_to_infinity)
 from pqmathieu.verification import golden_integrals
 
 # midpoint-rule oracle, 10^7 panels (tests/make_oracles.py), mpmath-confirmed
@@ -136,20 +135,6 @@ def test_interval_additivity():
     right = _integral(f, 1.1, 3.0)
     combined_err = whole.err_est + left.err_est + right.err_est
     assert abs(whole.value - left.value - right.value) <= combined_err + 1e-14 * abs(whole.value)
-
-
-def test_kernel_family_closed_forms():
-    # the integral of (1 + x t)^-lam over (0, 1) at lam = 1 is log1p(x)/x,
-    # and at lam = 2 it is 1/(1+x)
-    xs = [0.0, 1e-3, 0.5, 1.0]
-    for lam, exact in ((1.0, lambda x: math.log1p(x) / x if x else 1.0),
-                       (2.0, lambda x: 1.0 / (1.0 + x))):
-        for x, res in zip(xs, integrate_log_kernels(FLAT, lam, xs), strict=True):
-            assert res.converged
-            assert abs(res.value - exact(x)) <= res.err_est + 2.0 * math.ulp(exact(x)), (lam, x)
-    for lam, bad in ((1.0, []), (0.0, [0.5]), (1.0, [1.5]), (1.0, [-0.1])):
-        with pytest.raises(DomainError):
-            integrate_log_kernels(FLAT, lam, bad)
 
 
 def test_moment_table_closed_forms():
