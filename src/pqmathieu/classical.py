@@ -3,7 +3,9 @@
 The hypergeometric series are summed by term recurrence (ratio form).  For
 negative argument the Gauss series goes through the Pfaff transformation
 z -> z/(z-1) and the Kummer series through 1F1(b;c;z) = e^z 1F1(c-b;c;-z),
-so every summed term is positive and no cancellation occurs.
+so every summed term is positive and no cancellation occurs; their factors
+(1-z)^(-a) and e^z are applied, charged and range-checked by
+results._scaled.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .quadrature import DEFAULT_POLICY, QuadPolicy
-from .results import EvalResult
+from .results import _EPS, EvalResult, _scaled
 
 __all__ = [
     "HyperTriple",
@@ -39,8 +41,8 @@ class HyperTriple:
     c: float
 
     def __post_init__(self) -> None:
-        if not (self.c > self.b > 0.0):
-            raise DomainError(f"require c > b > 0, got b={self.b}, c={self.c}")
+        if not (math.isfinite(self.a) and math.inf > self.c > self.b > 0.0):
+            raise DomainError(f"require finite a, c > b > 0, got a={self.a}, b={self.b}, c={self.c}")
 
 
 def log_gamma(x: float) -> float:
@@ -58,7 +60,7 @@ def beta(x: float, y: float) -> float:
 
 
 def _positive_series(ratio, rel_tol: float, max_terms: int,
-                     rho_floor: float = 0.0) -> tuple[float, float, int, bool]:
+                     rho_floor: float = 0.0) -> EvalResult:
     # sum 1 + t_1 + t_2 + ... where t_{n+1} = t_n * ratio(n); the projected
     # geometric tail |t_n| * rho/(1-rho) must stay below rel_tol * |sum|
     # three times in a row.  rho_floor is the known asymptotic term ratio
@@ -80,7 +82,7 @@ def _positive_series(ratio, rel_tol: float, max_terms: int,
             hits = 0
     rho = max(abs(ratio(n)), rho_floor)
     tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else math.inf
-    return total, tail, n + 1, hits >= 3 and math.isfinite(tail)
+    return EvalResult(total, tail, n + 1, hits >= 3 and math.isfinite(tail))
 
 
 def gauss_2f1_raw(a: float, b: float, c: float, z: float,
@@ -98,17 +100,21 @@ def gauss_2f1_raw(a: float, b: float, c: float, z: float,
     if c <= 0.0 and c == int(c):
         raise DomainError(f"gauss_2f1 undefined at nonpositive integer c={c}")
     if z < 0.0:
-        zp = z / (z - 1.0)
-        pref = (1.0 - z) ** (-a)
-        bb = c - b
+        zp, bb = z / (z - 1.0), c - b
     else:
-        zp = z
-        pref = 1.0
-        bb = b
-    total, tail, n, ok = _positive_series(
-        lambda k: (a + k) * (bb + k) / ((c + k) * (k + 1.0)) * zp,
-        policy.rel_tol, policy.max_evals, rho_floor=max(zp, 0.0))
-    return EvalResult(pref * total, pref * tail, n, ok)
+        zp, bb = z, b
+    res = _positive_series(lambda k: (a + k) * (bb + k) / ((c + k) * (k + 1.0)) * zp,
+                           policy.rel_tol, policy.max_evals, rho_floor=max(zp, 0.0))
+    if z >= 0.0:
+        return res
+    return _scaled(res, *_pfaff_factor(a, z), policy, f"gauss_2f1 {{}} at z={z!r}")
+
+
+def _pfaff_factor(a: float, z: float) -> tuple[float, float]:
+    # log (1-z)^(-a) at z < 0 and its error: log1p and the product round it by 1.5
+    # ulps of itself; the ulp of w = z/(z-1) moves log F by a w/(1-w) = a |z| ulps
+    log_scale = -a * math.log1p(-z)
+    return log_scale, (1.5 * abs(log_scale) + abs(a * z)) * _EPS
 
 
 def gauss_2f1(triple: HyperTriple, z: float, policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
@@ -118,27 +124,17 @@ def gauss_2f1(triple: HyperTriple, z: float, policy: QuadPolicy = DEFAULT_POLICY
 
 def kummer_1f1(b: float, c: float, z: float, policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Confluent hypergeometric series 1F1(b; c; z) for c > b > 0, real z."""
-    if not (c > b > 0.0):
-        raise DomainError(f"kummer_1f1 requires c > b > 0, got b={b}, c={c}")
+    if not (c > b > 0.0 and math.isfinite(z)):
+        raise DomainError(f"kummer_1f1 requires c > b > 0, finite z, got b={b}, c={c}, z={z}")
     if z < 0.0:
-        w = -z
-        bb = c - b
+        w, bb = -z, c - b
     else:
-        w = z
-        bb = b
-    total, tail, n, ok = _positive_series(
-        lambda k: (bb + k) / ((c + k) * (k + 1.0)) * w,
-        policy.rel_tol, policy.max_evals)
-    if z < 0.0:
-        # e^z * total, in log form once the factors leave the comfortable range
-        if w < 100.0:
-            value = math.exp(z) * total
-            tail = math.exp(z) * tail
-        else:
-            value = math.exp(z + math.log(total))
-            tail = value * (tail / total)
-        return EvalResult(value, tail, n, ok)
-    return EvalResult(total, tail, n, ok)
+        w, bb = z, b
+    res = _positive_series(lambda k: (bb + k) / ((c + k) * (k + 1.0)) * w,
+                           policy.rel_tol, policy.max_evals)
+    if z >= 0.0:
+        return res
+    return _scaled(res, z, 0.0, policy, f"kummer_1f1 {{}} at z={z!r}")
 
 
 def luke_bound_rhs(a: float, b: float, c: float, z: float) -> float:

@@ -7,7 +7,7 @@ coefficients are extended Beta values; the series path is the verification
 oracle.  At z < 0 both series are summed in reflected form (t -> 1-t in the
 Euler integral), over B(c-b+n, b; q, p) with positive terms: the Gauss
 series in Pfaff form at ratio z/(z-1) < 1/2, the Kummer series at ratio -z;
-_scaled applies their factor (1-z)^(-a) or e^z.  The damped weight
+results._scaled applies their factor (1-z)^(-a) or e^z.  The damped weight
 t^(b-1) (1-t)^(c-b-1) e^(-p/t - q/(1-t)) of these integrals is
 _beta_log_weight; the direct Mathieu route sums its head kernels
 F_{p,q}(a, b; c; -x_n) against it as one integrand.  Every series
@@ -37,10 +37,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
-from .classical import HyperTriple, beta, gauss_2f1
+from .classical import HyperTriple, _pfaff_factor, beta, gauss_2f1
 from .errors import DomainError
 from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc, integrate_log_moments
-from .results import EvalResult
+from .results import _EPS, EvalResult, _scaled
 
 __all__ = [
     "PQParams",
@@ -65,9 +65,20 @@ class PQParams:
             raise DomainError(f"extension parameters must satisfy p, q >= 0, got ({self.p}, {self.q})")
 
     @property
+    def min_exponent(self) -> float:
+        """X = (sqrt(p) + sqrt(q))**2 = min of p/t + q/(1-t) over (0,1)."""
+        return (math.sqrt(self.p) + math.sqrt(self.q)) ** 2
+
+    @property
     def envelope(self) -> float:
-        """sup of the damping factor over (0,1): exp(-(sqrt(p)+sqrt(q))**2)."""
-        return math.exp(-((math.sqrt(self.p) + math.sqrt(self.q)) ** 2))
+        """sup of the damping factor over (0,1): exp(-X)."""
+        return math.exp(-self.min_exponent)
+
+    def enveloped(self, res: EvalResult, policy: QuadPolicy, what: str) -> EvalResult:
+        """res times exp(-X) through _scaled; two roots, a sum and a square
+        round X by at most 2.5 ulps of itself."""
+        x = self.min_exponent
+        return _scaled(res, -x, 2.5 * x * _EPS, policy, what)
 
     def swapped(self) -> "PQParams":
         return PQParams(self.q, self.p)
@@ -125,8 +136,6 @@ def extended_beta_table(x0: float, y: float, pq: PQParams, n: int,
     _check_beta_args(x0, y, pq)
     return integrate_log_moments(_beta_log_weight(x0, y, pq), 0.0, 1.0, n, policy)
 
-
-_EPS = math.ulp(1.0)
 
 # entries per node set when a coefficient table grows with its series
 _BLOCK = 32
@@ -257,38 +266,6 @@ def _beta_series(coefs: _BetaColumn, norm: float, ratio: Callable[[int], float],
     return EvalResult(total, tail + err_acc, coefs.work(n_cap), False)
 
 
-def _scaled(res: EvalResult, log_scale: float, log_err: float, rel_tol: float,
-            what: str) -> EvalResult:
-    """res times e^log_scale: a series summed in reflected form, taken back.
-
-    log_err bounds the absolute error of log_scale.  While e^log_scale is a
-    normal double it multiplies the value, which adds two ulps; below that
-    the value is exp(log_scale + log value), which adds the ulps of the log
-    and of the exponent, and a subnormal result its spacing.  The record
-    stays converged when the series did and the charged error still meets
-    rel_tol.  A reflected sum of 0, or a product that underflows, raises
-    DomainError (no relative bound holds); an overflowed sum stays
-    unconverged.
-    """
-    v = res.value
-    if v == 0.0:
-        raise DomainError(f"{what}: reflected series is 0")
-    if not math.isfinite(v):
-        return EvalResult(v, math.inf, res.n_work, False)
-    if log_scale > -700.0:
-        value = math.exp(log_scale) * v
-        rel = log_err + 2.0 * _EPS
-    else:
-        log_value = log_scale + math.log(abs(v))
-        value = math.copysign(math.exp(log_value), v)
-        rel = log_err + (abs(log_value - log_scale) + abs(log_value) + 1.0) * _EPS
-    if value == 0.0:
-        raise DomainError(f"{what}: log value {log_scale + math.log(abs(v)):.1f}")
-    # a subnormal product is only as exact as the spacing there
-    err = max(abs(value) * (res.err_est / abs(v) + rel), math.ulp(value))
-    return EvalResult(value, err, res.n_work, res.converged and err <= rel_tol * abs(value))
-
-
 def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
                           policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Extended Gauss function by its defining series (the verification path).
@@ -334,11 +311,7 @@ def extended_gauss_series(triple: HyperTriple, z: float, pq: PQParams,
                        lambda n: (a + n) * x / (n + 1.0), majorant, n_cap)
     if z >= 0.0:
         return res
-    # log1p and the product round log_scale by 1.5 ulps of it; the ulp of w
-    # moves log F by at most a w / (1 - w) = a |z| ulps (for a > 0)
-    log_scale = -a * math.log1p(-z)
-    return _scaled(res, log_scale, (1.5 * abs(log_scale) + abs(a * z)) * _EPS, policy.rel_tol,
-                   f"extended_gauss_series underflows at z={z!r}")
+    return _scaled(res, *_pfaff_factor(a, z), policy, f"extended_gauss_series {{}} at z={z!r}")
 
 
 def extended_kummer(b: float, c: float, z: float, pq: PQParams,
@@ -349,10 +322,10 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
     Phi_{p,q}(b;c;z) = e^z Phi_{q,p}(c-b;c;-z) (substitute t -> 1-t in the
     Euler integral), which makes every term positive; the raw alternating
     series loses all precision already for moderately negative z.  The
-    rounding of the factor e^z is charged (see _scaled).
+    rounding of the factor e^z is charged (see results._scaled).
     """
-    if not (c > b > 0.0):
-        raise DomainError(f"extended_kummer requires c > b > 0, got b={b}, c={c}")
+    if not (c > b > 0.0 and math.isfinite(z)):
+        raise DomainError(f"extended_kummer requires c > b > 0, finite z, got b={b}, c={c}, z={z}")
     if z >= 0.0:
         w, x0, y, pq_eff = z, b, c - b, pq
     else:
@@ -368,18 +341,13 @@ def extended_kummer(b: float, c: float, z: float, pq: PQParams,
                        lambda n: w / (n + 1.0), majorant, n_cap)
     if z >= 0.0:
         return res
-    return _scaled(res, z, 0.0, policy.rel_tol, f"extended_kummer underflows at z={z!r}")
+    return _scaled(res, z, 0.0, policy, f"extended_kummer {{}} at z={z!r}")
 
 
 def gauss_bound_rhs(triple: HyperTriple, z: float, pq: PQParams,
                     policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
     """Envelope upper bound for |F_{p,q}(a,b;c;z)|: envelope * 2F1(a,b;c;|z|).
 
-    Carries the 2F1's error and the rounding of the envelope exp(-X),
-    X = (sqrt(p) + sqrt(q))**2, and of the product: 4X + 2 ulps.
+    Carries the 2F1's error and the envelope's rounding (PQParams.enveloped).
     """
-    f = gauss_2f1(triple, abs(z), policy)
-    env = pq.envelope
-    rnd = (4.0 * (math.sqrt(pq.p) + math.sqrt(pq.q)) ** 2 + 2.0) * _EPS
-    return EvalResult(env * f.value, env * (f.err_est + rnd * abs(f.value)), f.n_work,
-                      f.converged)
+    return pq.enveloped(gauss_2f1(triple, abs(z), policy), policy, "gauss_bound_rhs {}")

@@ -60,7 +60,7 @@ from .extended import extended_beta  # noqa: F401  (traced by bench/worker.py)
 from .extended import extended_gauss_integral  # noqa: F401  (traced by bench/worker.py)
 from .quadrature import DEFAULT_POLICY, QuadPolicy, integrate_finite_xc
 from .quadrature import integrate_to_infinity  # noqa: F401  (traced by bench/worker.py)
-from .results import EvalResult
+from .results import _EPS, EvalResult, _scaled
 
 __all__ = [
     "SequenceSpec",
@@ -78,8 +78,6 @@ __all__ = [
     "bound_mathieu_alt_rhs",
 ]
 
-_EPS = math.ulp(1.0)
-
 
 @dataclass(frozen=True)
 class SequenceSpec:
@@ -91,8 +89,8 @@ class SequenceSpec:
 
     @classmethod
     def power(cls, scale: float = 1.0, exponent: float = 1.0) -> "SequenceSpec":
-        if not (scale > 0.0 and exponent > 0.0):
-            raise DomainError("power sequence requires scale > 0 and exponent > 0")
+        if not (0.0 < scale < math.inf and 0.0 < exponent < math.inf):
+            raise DomainError("power sequence requires finite scale > 0 and exponent > 0")
         return cls(scale=scale, exponent=exponent)
 
     def value(self, x: float) -> float:
@@ -135,10 +133,10 @@ class MathieuParams:
     seq: SequenceSpec
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0 and self.eta > 0.0 and self.r > 0.0):
-            raise DomainError("require lam, eta, r > 0")
-        if not (self.c > self.b > 0.0):
-            raise DomainError(f"require c > b > 0, got b={self.b}, c={self.c}")
+        if not all(0.0 < x < math.inf for x in (self.lam, self.eta, self.r)):
+            raise DomainError("require finite lam, eta, r > 0")
+        if not (math.inf > self.c > self.b > 0.0):
+            raise DomainError(f"require finite c > b > 0, got b={self.b}, c={self.c}")
         if self.r * self.r > self.seq.a1:
             raise DomainError(f"require r^2 <= a_1, got r^2={self.r * self.r}, a_1={self.seq.a1}")
 
@@ -729,8 +727,7 @@ def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
 
     Equals 2F1(eta, lam+eta-1; lam+eta; -r^2/a1) / ((lam+eta-1) a1^(lam+eta-1))
     for lam+eta > 1 and r^2 < a1 (GR 3.194.1 after x -> 1/t).  Carries the
-    2F1's error and the rounding of the factor, |e log a1| + 4 ulps with
-    e = lam+eta-1.
+    2F1's error and the rounding of the factor (_over_power).
     """
     # lam+eta as an exact pair: 1 + 2^-53 converges although it rounds to 1
     hi, lo = _plus((lam, 0.0), eta)
@@ -742,11 +739,17 @@ def closed_tail_2f1(a1: float, lam: float, eta: float, r: float,
     if not r * r < a1:
         raise DomainError(f"closed_tail_2f1 requires r^2 < a1, got r^2={r * r}, a1={a1}")
     hyp = gauss_2f1_raw(eta, sden, sden + 1.0, -r * r / a1, policy)
-    log_a1 = math.log(a1)
-    power = math.exp(-sden * log_a1)
-    rnd = (abs(sden * log_a1) + 4.0) * _EPS
-    return EvalResult(hyp.value * power / sden, (hyp.err_est + rnd * abs(hyp.value)) * power / sden,
-                      hyp.n_work, hyp.converged)
+    return _over_power(hyp, sden, math.log(a1), policy, f"closed_tail_2f1 {{}} at a1={a1!r}")
+
+
+def _over_power(res: EvalResult, e: float, log_a1: float, policy: QuadPolicy,
+                what: str) -> EvalResult:
+    """res a_1^-e / e through _scaled.  e (1.5 ulps as s - 1 from a rounded
+    s), log a_1, the product, log e and the sum (half an ulp each) put
+    log_scale within 3 |e log a_1| + |log e| + 1.5 ulps."""
+    log_scale = -e * log_a1 - math.log(e)
+    return _scaled(res, log_scale, (3.0 * abs(e * log_a1) + abs(math.log(e)) + 1.5) * _EPS,
+                   policy, what)
 
 
 # ---------------------------------------------------------------------------
@@ -768,24 +771,20 @@ def _luke_bound(params: MathieuParams, parts: list[EvalResult], policy: QuadPoli
     # env [lam (A_L1 g_1 + B_L1 g_2) + eta (A_L0 g_3 + B_L0 g_4)] over the four
     # children g_i, with Luke's pair at L1 = lam+1 and L0 = lam: A_L = 1 - l_L,
     # B_L = 2(c+1) l_L / ((L+1)(b+1) r^2 + 2(c+1) a_1),
-    # l_L = 2Lb(c+1) / (c(L+1)(b+1)).  Each term charges its child's error
-    # and 24 ulps (|A_L| <= 1 + l_L), 4X more for env = exp(-X)
-    lam, b, c, pq = params.lam, params.b, params.c, params.pq
-    r2, a1, env = params.r * params.r, params.seq.a1, pq.envelope
-    big_x = (math.sqrt(pq.p) + math.sqrt(pq.q)) ** 2
-    if env == 0.0:
-        raise DomainError(f"bound underflows: log envelope {-big_x:.1f}")
-    rnd = (24.0 + 4.0 * big_x) * _EPS
+    # l_L = 2Lb(c+1) / (c(L+1)(b+1)).  Each term of the bracket charges its
+    # child's error and 24 ulps (|A_L| <= 1 + l_L); PQParams.enveloped
+    # applies env = exp(-X) and charges its rounding
+    lam, b, c = params.lam, params.b, params.c
+    r2, a1 = params.r * params.r, params.seq.a1
     value = err = 0.0
     for mult, big_l, (g_a, g_b) in ((lam, lam + 1.0, parts[:2]), (params.eta, lam, parts[2:])):
         ell = 2.0 * big_l * b * (c + 1.0) / (c * (big_l + 1.0) * (b + 1.0))
         coef_b = 2.0 * (c + 1.0) * ell / ((big_l + 1.0) * (b + 1.0) * r2 + 2.0 * (c + 1.0) * a1)
-        value += mult * env * ((1.0 - ell) * g_a.value + coef_b * g_b.value)
-        err += mult * env * (abs(1.0 - ell) * g_a.err_est + coef_b * g_b.err_est
-                             + rnd * ((1.0 + ell) * abs(g_a.value) + coef_b * abs(g_b.value)))
-    tol = max(policy.abs_tol, policy.rel_tol * abs(value))
-    return EvalResult(value, err, sum(g.n_work for g in parts),
-                      all(g.converged for g in parts) and err <= tol)
+        value += mult * ((1.0 - ell) * g_a.value + coef_b * g_b.value)
+        err += mult * (abs(1.0 - ell) * g_a.err_est + coef_b * g_b.err_est
+                       + 24.0 * _EPS * ((1.0 + ell) * abs(g_a.value) + coef_b * abs(g_b.value)))
+    bracket = EvalResult(value, err, sum(g.n_work for g in parts), all(g.converged for g in parts))
+    return params.pq.enveloped(bracket, policy, "bound {}")
 
 
 def bound_mathieu_rhs(params: MathieuParams, policy: QuadPolicy = DEFAULT_POLICY) -> EvalResult:
@@ -811,19 +810,13 @@ def bound_mathieu_alt_rhs(params: MathieuParams,
 
     Enforced for lam+eta > 2, where the closed forms invoked by its
     derivation are valid.  Its children are four 2F1 values times
-    a_1^-e / e, e = lam+eta or lam+eta-1, the power charging |e log a_1| + 4 ulps.
+    a_1^-e / e, e = lam+eta or lam+eta-1 (_over_power).
     """
     _check_bound_window(params)
     eta, s, log_a1 = params.eta, params.lam + params.eta, math.log(params.seq.a1)
     if not (s > 2.0):
         raise DomainError(f"alternating bound requires lam+eta > 2, got {s:g}")
     z = -params.r * params.r / params.seq.a1
-    parts = []
-    for a, cc in ((eta, eta + 1.0), (eta + 1.0, eta + 2.0)):
-        for e in (s, s - 1.0):
-            f = gauss_2f1_raw(a, e, cc, z, policy)
-            k = math.exp(-e * log_a1) / e
-            rnd = (abs(e * log_a1) + 4.0) * _EPS
-            parts.append(EvalResult(f.value * k, (f.err_est + rnd * abs(f.value)) * k, f.n_work,
-                                    f.converged))
+    parts = [_over_power(gauss_2f1_raw(a, e, cc, z, policy), e, log_a1, policy, "bound {}")
+             for a, cc in ((eta, eta + 1.0), (eta + 1.0, eta + 2.0)) for e in (s, s - 1.0)]
     return _luke_bound(params, parts, policy)

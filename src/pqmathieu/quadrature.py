@@ -28,14 +28,13 @@ mutable state, so concurrent use from multiple threads is safe.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable
 
 from .errors import DomainError, IntegrandError
-from .results import EvalResult
+from .results import _EPS, _LOG_MAX, EvalResult
 
 __all__ = [
     "QuadPolicy",
@@ -46,15 +45,12 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
-_EPS = math.ulp(1.0)
 # beyond this the node offset from the endpoint underflows for unit-scale spans
 _T_MAX = 6.56
 # consecutive negligible contributions before a side of the node fan is closed
 _CONSEC = 3
 # a contribution at most this share of its sweep's running l1 norm is negligible
 _NEGLIGIBLE = 0.5 * _EPS
-# largest log whose exp is finite
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,8 @@ def test_hyper_triple_invariant():
         HyperTriple(1.0, 2.0, 2.0)
     with pytest.raises(DomainError):
         HyperTriple(1.0, 0.0, 2.0)
+    with pytest.raises(DomainError, match="require finite a, c > b > 0"):
+        HyperTriple(1.0, 1.0, math.inf)
 
 
 def test_gauss_2f1_at_zero():
@@ -82,6 +84,10 @@ def test_gauss_2f1_domain():
     for z in (1.0, 1.5, -1.0001):
         with pytest.raises(DomainError):
             gauss_2f1(trip, z)
+    # (1-z)^800 times the cancelled reflected sum leaves the double range:
+    # a named error, not a converged -inf
+    with pytest.raises(DomainError, match=r"gauss_2f1 overflows at z=-0\.9: log value 777\.4"):
+        gauss_2f1_raw(-800.0, 1.0, 2.0, -0.9)
 
 
 def test_gauss_2f1_against_mpmath():
@@ -157,6 +163,9 @@ def test_kummer_against_mpmath():
 def test_kummer_domain():
     with pytest.raises(DomainError):
         kummer_1f1(2.0, 1.0, 0.5)
+    for z in (-math.inf, math.inf, math.nan):
+        with pytest.raises(DomainError, match="kummer_1f1 requires c > b > 0, finite z"):
+            kummer_1f1(1.0, 2.0, z)
 
 
 def test_luke_bound_values():

@@ -90,18 +90,19 @@ def test_underflowed_kummer_reflection_exits_1_with_one_line(capsys):
                  "--p", "700", "--q", "700"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "domain error: extended_kummer underflows at z=-200.0: reflected series is 0\n"
+    assert err == "domain error: extended_kummer underflows at z=-200.0: log value -inf\n"
 
 
 def test_underflowed_bound_envelope_exits_1_with_one_line(capsys):
-    # exp(-(sqrt(p) + sqrt(q))^2) = exp(-800) is 0: an upper bound of 0 for a
-    # positive series would be no bound at all
+    # exp(-(sqrt(p) + sqrt(q))^2) = exp(-800) times the bracket leaves the
+    # double range: an upper bound of 0 for a positive series would be no
+    # bound at all
     from pqmathieu.cli import main
     assert main(["eval", "--target", "bound", "--lambda", "1", "--eta", "3", "--r", "0.5",
                  "--b", "1", "--c", "2", "--p", "200", "--q", "200", "--seq", "n"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "domain error: bound underflows: log envelope -800.0\n"
+    assert err == "domain error: bound underflows: log value -800.3\n"
 
 
 @pytest.mark.parametrize("a, b, c, z, p, q", [
@@ -125,6 +126,26 @@ def test_gauss_series_converges_at_cancelling_negative_arguments(capsys, a, b, c
         argv += [f"--{name}", repr(val)]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("converged=true") == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--target", "kummer", "--b", "1", "--c", "2", "--p", "0.5", "--q", "0.5", "--z=-inf"],
+    ["--target", "kummer", "--b", "1", "--c", "2", "--p", "0.5", "--q", "0.5", "--z", "inf"],
+    ["--target", "kummer", "--b", "1", "--c", "2", "--p", "0.5", "--q", "0.5", "--z", "nan"],
+    ["--target", "mathieu", "--lambda", "1", "--eta", "1", "--r", "0.5", "--b", "1", "--c", "2",
+     "--p", "0.5", "--q", "0.5", "--seq", "n^k", "--k", "inf"],
+    ["--target", "mathieu", "--lambda", "1", "--eta", "1", "--r", "0.5", "--b", "1",
+     "--c", "inf", "--p", "0.5", "--q", "0.5", "--seq", "n"],
+    # (1.9)^1200 times the reflected series overflows
+    ["--target", "gauss", "--method", "direct", "--a", "-1200", "--b", "1", "--c", "2",
+     "--z", "-0.9", "--p", "0.5", "--q", "0.5"],
+])
+def test_non_finite_input_or_result_exits_1_with_one_domain_line(args):
+    out = run_cli("eval", *args)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("domain error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
 
 
 def test_integrand_overflow_exits_1_with_one_line(capsys):

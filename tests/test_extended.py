@@ -309,6 +309,9 @@ def test_extended_kummer_oracle():
 def test_extended_kummer_domain():
     with pytest.raises(DomainError):
         extended_kummer(2.0, 1.0, 0.5, PQParams())
+    for z in (-math.inf, math.inf, math.nan):
+        with pytest.raises(DomainError, match="extended_kummer requires c > b > 0, finite z"):
+            extended_kummer(1.0, 2.0, z, PQParams(0.5, 0.5))
 
 
 def test_extended_kummer_reflected_underflow_is_domain_error():
@@ -356,6 +359,9 @@ def test_gauss_bound_rhs():
         gauss_2f1(trip, 0.5).value, rel=1e-13)
     want = math.exp(-4.0) * 2.0 * math.log(2.0)
     assert gauss_bound_rhs(trip, -0.5, PQParams(1.0, 1.0)).value == pytest.approx(want, rel=1e-12)
+    # e^-800 times 2 log 2 underflows: a bound of 0 would bound nothing
+    with pytest.raises(DomainError, match=r"gauss_bound_rhs underflows: log value -799\.7"):
+        gauss_bound_rhs(trip, -0.5, PQParams(200.0, 200.0))
 
 
 def test_gauss_envelope_inequality():

@@ -42,6 +42,8 @@ def test_sequence_spec():
     assert SEQ_N.label == "n" and SEQ_N2.label == "n^2" and SEQ_2N.label == "2*n"
     with pytest.raises(DomainError):
         SequenceSpec.power(0.0, 1.0)
+    with pytest.raises(DomainError):
+        SequenceSpec.power(1.0, math.inf)
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,6 +92,8 @@ def test_params_validation():
         MathieuParams(1.0, 1.0, 1.2, 1.0, 2.0, PQ0, SEQ_N)  # r^2 > a_1
     with pytest.raises(DomainError):
         MathieuParams(1.0, 1.0, 0.5, 2.0, 1.0, PQ0, SEQ_N)  # c <= b
+    with pytest.raises(DomainError):
+        MathieuParams(1.0, 1.0, 0.5, 1.0, math.inf, PQ0, SEQ_N)
 
 
 def test_mathieu_direct_oracle():
@@ -650,6 +654,11 @@ def test_closed_tail_domain():
         closed_tail_2f1(1.0, 0.5, 0.5, 0.5)
     with pytest.raises(DomainError):
         closed_tail_2f1(1.0, 1.0, 1.0, 1.0)  # r^2 = a1 not allowed here
+    # a1^-(lam+eta-1) leaves the double range at either end
+    with pytest.raises(DomainError, match=r"closed_tail_2f1 underflows at a1=1e\+200: log value"):
+        closed_tail_2f1(1e200, 1.5, 1.5, 1.0)
+    with pytest.raises(DomainError, match=r"closed_tail_2f1 overflows at a1=1e-250: log value"):
+        closed_tail_2f1(1e-250, 2.0, 2.0, 5e-126)
 
 
 def test_closed_tail_one_ulp_above_the_divergence_edge():
@@ -767,6 +776,13 @@ def test_bound_window_checks():
         bound_mathieu_alt_rhs(MathieuParams(1.0, 0.9, 0.5, 1.0, 2.0, PQ0, SEQ_N))  # lam+eta <= 2
     with pytest.raises(DivergenceError):
         bound_mathieu_rhs(MathieuParams(1.0, 0.9, 0.5, 1.0, 2.0, PQ0, SEQ_N))  # u diverges
+    # children that underflow to 0 (a_1 = 1e300), or that overflow (a_1 = 1e-300)
+    with pytest.raises(DomainError, match="bound underflows: log value -inf"):
+        bound_mathieu_rhs(MathieuParams(1.0, 3.0, 0.5, 1.0, 2.0, PQParams(0.5, 0.5),
+                                        SequenceSpec.power(1e300, 1.0)))
+    with pytest.raises(DomainError, match="bound overflows: log value"):
+        bound_mathieu_alt_rhs(MathieuParams(1.0, 3.0, 1e-160, 1.0, 2.0, PQParams(0.5, 0.5),
+                                            SequenceSpec.power(1e-300, 1.0)))
 
 
 def test_alt_bound_argument_arithmetic():
